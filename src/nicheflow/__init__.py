@@ -9,7 +9,7 @@ from .bench import (
     pareto_front,
     population_hypervolume,
 )
-from .embedding import HashingEmbedder, RemoteEmbedder, cosine, similarity_score
+from .embedding import HashingEmbedder, cosine, similarity_score
 from .errors import (
     BudgetExceeded,
     ConfigError,

@@ -3,15 +3,16 @@ enabling desk-scale quantitative experiments with the simulated model pool.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInput
-from .evolution import ObjectivePoint, Population, dominates, objective_point
-from .executor import TaskQuery, safe_arithmetic_eval
+from .evolution import ObjectivePoint, Population, dominates
+from .executor import TaskQuery
+from .operators import OPERATORS, safe_arithmetic_eval
 from .provider import make_task_envelope
 
 
@@ -182,20 +183,9 @@ def export_front(pop: Population, path) -> Path:
 
 def nominal_call_count(genome) -> int:
     """Static per-execution call estimate, used to bucket genome complexity."""
-    per_kind = {
-        "CoT": 1,
-        "Debate": 7,
-        "StepBack": 2,
-        "SelfConsistency": 5,
-        "SelfRefine": 3,
-        "Ensemble": 4,
-        "ReAct": 1,
-        "ExpertPrompt": 2,
-    }
-    total = 0
-    for op in genome.operators:
-        total += per_kind.get(op.kind, len(op.invoking_nodes))
-    return total
+    return sum(
+        OPERATORS[op.kind].calls or len(op.invoking_nodes) for op in genome.operators
+    )
 
 
 def call_count_tier(count: int) -> str:

@@ -17,7 +17,7 @@ from .bench import export_front, generate_suite, interleave_tasks, population_hy
 from .config import RunConfig, load_config
 from .errors import ConfigError, NicheflowError, ProviderError, StorageError
 from .evolution import EvolveDeps, Population, evolve_step, infer, init_population
-from .executor import TaskQuery
+from .executor import TaskQuery, evaluate
 from .memory import LlmExperiencePool, WorkflowExperiencePool
 from .snapshot import RunLock, append_step_report, load_population, save_population
 from .templates import DEFAULT_OPERATOR_REPO
@@ -34,7 +34,6 @@ def _build_deps(cfg: RunConfig) -> EvolveDeps:
         pool=cfg.model_pool(),
         provider=cfg.make_provider(),
         embedder=cfg.make_embedder(),
-        repo=DEFAULT_OPERATOR_REPO,
         llm_pool=LlmExperiencePool(cfg.run_dir / "memory" / "llm_pool.log"),
         wf_pool=WorkflowExperiencePool(cfg.run_dir / "memory" / "wf_pool.log"),
     )
@@ -84,10 +83,9 @@ def cmd_evolve(cfg: RunConfig, steps: int) -> Population:
 
 def cmd_infer(cfg: RunConfig, query_text: str, mode: str = "best", budget=None) -> dict:
     pop, _ = load_population(cfg.run_dir)
-    deps = _build_deps(cfg)
     query = TaskQuery(query_id="infer", text=query_text)
     genome, trace = infer(
-        pop, query, deps.embedder, deps.provider, deps.pool,
+        pop, query, cfg.make_embedder(), cfg.make_provider(), cfg.model_pool(),
         mode=mode, budget=budget, call_budget=cfg.evolution.call_budget,
     )
     return {
@@ -147,15 +145,12 @@ def cmd_bench(cfg: RunConfig, suite_path) -> dict:
             encoding="utf-8",
         )
     pop, _ = load_population(cfg.run_dir)
-    deps = _build_deps(cfg)
-    from .executor import evaluate
-
+    embedder, provider, pool = cfg.make_embedder(), cfg.make_provider(), cfg.model_pool()
     total_perf = 0.0
     total_cost = 0.0
     for task in tasks:
         _, trace = infer(
-            pop, task, deps.embedder, deps.provider, deps.pool,
-            call_budget=cfg.evolution.call_budget,
+            pop, task, embedder, provider, pool, call_budget=cfg.evolution.call_budget,
         )
         total_perf += evaluate(trace.answer, task) if task.gold else 0.0
         total_cost += trace.total_cost

@@ -7,16 +7,17 @@ Only the API key comes from the environment; everything else lives in the file.
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from . import canonical
 from .bench import DomainSpec
+from .embedding import HashingEmbedder
 from .errors import ConfigError
 from .evolution import EvolutionConfig
 from .genome import ModelPool, ModelSpec
-from .provider import SimModelProfile
+from .provider import HttpProvider, SimModelProfile, SimulatedProvider
 
 DEFAULT_API_KEY_ENV = "EVOFLOW_API_KEY"
 
@@ -42,20 +43,14 @@ class RunConfig:
 
     def make_provider(self):
         if self.backend == "simulated":
-            from .provider import SimulatedProvider
-
             return SimulatedProvider(self.sim_profiles, seed=self.seed)
         if self.backend == "http":
-            from .provider import HttpProvider
-
             if not self.endpoint:
                 raise ConfigError("http backend requires an endpoint")
             return HttpProvider(self.endpoint, api_key=os.environ.get(self.api_key_env, ""))
         raise ConfigError(f"unknown backend {self.backend!r}")
 
     def make_embedder(self):
-        from .embedding import HashingEmbedder
-
         return HashingEmbedder(dim=self.embedding_dim)
 
 

@@ -1,22 +1,21 @@
 """Embedding backends, cosine similarity, tag-based retrieval scoring, and
 utility tag generation.
 
-Two backends are provided: a remote sentence-embedding client, and a fully
-offline deterministic embedder (token 3-gram feature hashing) so that the
-whole evolutionary loop is testable with zero network access.
+The backend is a fully offline deterministic embedder (token 3-gram feature
+hashing), so the whole evolutionary loop is testable with zero network access.
 """
 
 import hashlib
 import re
 import threading
-import time
 from dataclasses import dataclass
-from typing import Optional, Protocol, Sequence
+from typing import Optional, Protocol
 
 import numpy as np
 
 from .errors import InvalidInput, InvalidState, ProviderError
-from .genome import ModelPool, WorkflowGenome
+from .genome import ModelPool, WorkflowGenome, serialize
+from .provider import ChatRequest
 
 DEFAULT_DIM = 384
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -92,63 +91,6 @@ class HashingEmbedder(_CachingEmbedder):
             digest = hashlib.blake2b(text.strip().encode("utf-8"), digest_size=8).digest()
             vec[int.from_bytes(digest, "big") % self.dim] = 1.0
         return vec
-
-
-class RemoteEmbedder(_CachingEmbedder):
-    """Client for a remote embedding service.
-
-    Wire contract: POST {model, input: [text]} -> {data: [{embedding: [...]}]}.
-    """
-
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        api_key: str = "",
-        session=None,
-        max_attempts: int = 3,
-        backoff_base: float = 0.5,
-        sleep=time.sleep,
-    ):
-        super().__init__()
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self.endpoint = endpoint
-        self.model = model
-        self.api_key = api_key
-        self.session = session
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.sleep = sleep
-        self.backend_id = f"remote-{model}"
-
-    def _embed_uncached(self, text: str) -> np.ndarray:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        last: Exception | None = None
-        for attempt in range(self.max_attempts):
-            try:
-                resp = self.session.post(
-                    self.endpoint,
-                    json={"model": self.model, "input": [text]},
-                    headers=headers,
-                    timeout=30,
-                )
-                resp.raise_for_status()
-                data = resp.json()["data"][0]["embedding"]
-                return np.asarray(data, dtype=np.float64)
-            except Exception as e:  # noqa: BLE001 - transport errors are retried
-                last = e
-                if attempt + 1 < self.max_attempts:
-                    self.sleep(self.backoff_base * (2**attempt))
-        raise ProviderError(
-            f"embedding request failed after {self.max_attempts} attempts",
-            attempts=self.max_attempts,
-            last_error=last,
-        )
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -239,9 +181,6 @@ def generate_tags(
 
     Always returns exactly kappa tags.
     """
-    from .genome import serialize
-    from .provider import ChatRequest
-
     if provider is None:
         return structural_tags(genome, pool, kappa)
     prompt = template.template.format(

@@ -6,7 +6,7 @@ selection, the per-query evolution step, and inference-time retrieval.
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ from .genome import (
     WorkflowGenome,
     from_document,
     fresh_workflow_id,
-    topological_order,
+    serialize,
     validate,
 )
 from .memory import (
@@ -33,12 +33,14 @@ from .memory import (
     default_commentary,
     verdict_from_perf,
 )
+from .operators import topological_order
 from .provider import ChatRequest
 from .templates import (
     CROSSOVER_PROMPT,
     DEFAULT_OPERATOR_REPO,
     LLM_MUTATION_PROMPT,
     PROMPT_EDITS,
+    PROMPT_MUTATION_PROMPT,
     TAG_GENERATION_PROMPT,
     build_operator,
     template_node_count,
@@ -266,8 +268,6 @@ def _extract_json_document(reply: str) -> dict:
 def _llm_offspring_structure(
     parents, provider, cfg: EvolutionConfig, pool: ModelPool, query_text: str
 ):
-    from .genome import serialize
-
     prompt = CROSSOVER_PROMPT.format(
         QUERY=query_text or "(general task stream)",
         PARENTS="\n\n".join(serialize(p) for p in parents),
@@ -468,8 +468,6 @@ def mutate_prompt(
 
 
 def _llm_rewrite_prompt(node, genome, wf_pool, provider, cfg, pool) -> Optional[str]:
-    from .templates import PROMPT_MUTATION_PROMPT
-
     summary = (
         wf_pool.query_summary(genome.workflow_id) if wf_pool is not None else None
     )
@@ -491,12 +489,10 @@ def _llm_rewrite_prompt(node, genome, wf_pool, provider, cfg, pool) -> Optional[
 
 def mutate_operator(
     genome: WorkflowGenome,
-    wf_pool: Optional[WorkflowExperiencePool],
     rng: np.random.Generator,
     repo: Sequence[str] = DEFAULT_OPERATOR_REPO,
     pool: Optional[ModelPool] = None,
     cfg: Optional[EvolutionConfig] = None,
-    provider=None,
 ) -> WorkflowGenome:
     """Add an operator, delete a non-sink operator, or rewire one inter-edge;
     any result failing validation is discarded."""
@@ -567,32 +563,15 @@ def niching_area(
 ) -> NichingPool:
     """Select the E members minimizing combined rank: position in descending
     tag-similarity order plus position in ascending cost-distance order."""
-    members = list(pop.members)
-    off_profile = emb.tag_profile(offspring)
-    kappa = len(offspring.tags)
-    sims = {
-        m.workflow_id: kappa * emb.cosine(off_profile, emb.tag_profile(m))
-        for m in members
-    }
-    cost_dist = {
-        m.workflow_id: abs(offspring.stats.mean_cost - m.stats.mean_cost)
-        for m in members
-    }
-    by_sim = sorted(members, key=lambda g: (-sims[g.workflow_id], g.workflow_id))
-    by_cost = sorted(members, key=lambda g: (cost_dist[g.workflow_id], g.workflow_id))
-    rank_s = {g.workflow_id: i for i, g in enumerate(by_sim)}
-    rank_c = {g.workflow_id: i for i, g in enumerate(by_cost)}
-    chosen = sorted(
-        members,
-        key=lambda g: (rank_s[g.workflow_id] + rank_c[g.workflow_id], g.workflow_id),
-    )[:e]
+    ranks = combined_ranks(pop, offspring)
+    chosen = sorted(pop.members, key=lambda g: (ranks[g.workflow_id], g.workflow_id))[:e]
     return NichingPool(offspring=offspring, parents=tuple(parents), area=tuple(chosen))
 
 
 def combined_ranks(
     pop: Population, offspring: WorkflowGenome
 ) -> dict[str, int]:
-    """Rank_S + Rank_c per member (exposed for oracle tests)."""
+    """Rank_S + Rank_c per member: similarity rank plus cost-distance rank."""
     members = list(pop.members)
     off_profile = emb.tag_profile(offspring)
     kappa = len(offspring.tags)
@@ -780,10 +759,7 @@ def evolve_step(
         offspring, deps.wf_pool, rng, rho=cfg.rho_prompt,
         provider=deps.provider, cfg=cfg, pool=deps.pool,
     )
-    offspring = mutate_operator(
-        offspring, deps.wf_pool, rng, repo=deps.repo, pool=deps.pool,
-        cfg=cfg, provider=deps.provider,
-    )
+    offspring = mutate_operator(offspring, rng, repo=deps.repo, pool=deps.pool, cfg=cfg)
     tags = emb.generate_tags(
         offspring,
         deps.provider if cfg.llm_evolution else None,

@@ -1,33 +1,18 @@
-"""Workflow execution: topological scheduling of operator nodes, per-kind
-operator semantics over a model provider, answer scoring, and trace export.
+"""Workflow execution: topological scheduling of operator nodes over a model
+provider, call metering, answer scoring, and trace export. Each operator's
+own semantics come from the operator registry.
 """
 
-import ast
-import operator as _op_mod
-import re
-import string
 import time
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
 from . import canonical
-from .errors import (
-    BudgetExceeded,
-    InvalidInput,
-    StructureError,
-    TemplateError,
-)
-from .genome import (
-    KIND_NODE_ARITY,
-    ModelPool,
-    OperatorNode,
-    WorkflowGenome,
-    topological_order,
-)
+from .errors import BudgetExceeded, InvalidInput, StructureError
+from .genome import ModelPool, WorkflowGenome
+from .operators import extract_number, parse_number, run_operator, topological_order
 from .provider import ChatRequest, ChatResponse, call_cost
-from .templates import SELFREFINE_STOP_MARKER
 
 DEFAULT_CALL_BUDGET = 64
 
@@ -72,24 +57,6 @@ class ExecutionTrace:
         return sum(len(r.calls) for r in self.records)
 
 
-def render_prompt(prompt: str, mapping: Mapping[str, str], op_id: str) -> str:
-    """Resolve named placeholders; any placeholder without a binding is an
-    execution error, not a validation error."""
-    out = []
-    try:
-        parsed = list(string.Formatter().parse(prompt))
-    except ValueError as e:
-        raise TemplateError(op_id, f"<malformed: {e}>") from None
-    for literal, field_name, _spec, _conv in parsed:
-        out.append(literal)
-        if field_name is None:
-            continue
-        if field_name not in mapping:
-            raise TemplateError(op_id, field_name or "<empty>")
-        out.append(str(mapping[field_name]))
-    return "".join(out)
-
-
 class _Caller:
     """Issues model calls for one execution, enforcing the call budget and
     accumulating per-operator call records."""
@@ -124,219 +91,6 @@ class _Caller:
         recs = tuple(self.records)
         self.records = []
         return recs
-
-
-# --- per-kind operator semantics ---------------------------------------------
-
-def _check_arity(op: OperatorNode) -> None:
-    arity = KIND_NODE_ARITY.get(op.kind)
-    if arity is not None and len(op.invoking_nodes) != arity:
-        raise StructureError(
-            f"operator {op.op_id!r}: kind {op.kind} needs {arity} nodes, "
-            f"has {len(op.invoking_nodes)}"
-        )
-    if op.kind == "Custom" and not op.invoking_nodes:
-        raise StructureError(f"operator {op.op_id!r}: Custom needs >= 1 node")
-
-
-def _run_cot(op, task, context, caller):
-    node = op.invoking_nodes[0]
-    return caller.call(node, render_prompt(node.prompt, {"task": task, "context": context}, op.op_id))
-
-
-def _run_debate(op, task, context, caller):
-    debaters = op.invoking_nodes[:3]
-    aggregator = op.invoking_nodes[3]
-    rounds = int(op.params.get("rounds", 2))
-    positions = ""
-    for rnd in range(1, rounds + 1):
-        round_outputs = []
-        for i, node in enumerate(debaters):
-            reply = caller.call(
-                node,
-                render_prompt(
-                    node.prompt,
-                    {"task": task, "context": context, "positions": positions, "round": rnd},
-                    op.op_id,
-                ),
-            )
-            round_outputs.append(f"[round {rnd} debater {i + 1}] {reply}")
-        positions = (positions + "\n" if positions else "") + "\n".join(round_outputs)
-    return caller.call(
-        aggregator,
-        render_prompt(aggregator.prompt, {"task": task, "positions": positions}, op.op_id),
-    )
-
-
-def _run_stepback(op, task, context, caller):
-    principle_node, answer_node = op.invoking_nodes
-    principle = caller.call(
-        principle_node,
-        render_prompt(principle_node.prompt, {"task": task, "context": context}, op.op_id),
-    )
-    return caller.call(
-        answer_node,
-        render_prompt(answer_node.prompt, {"task": task, "principle": principle}, op.op_id),
-    )
-
-
-def _run_self_consistency(op, task, context, caller):
-    node = op.invoking_nodes[0]
-    samples = int(op.params.get("samples", 5))
-    answers = []
-    for i in range(1, samples + 1):
-        answers.append(
-            caller.call(
-                node,
-                render_prompt(
-                    node.prompt,
-                    {"task": task, "context": context, "sample": i},
-                    op.op_id,
-                ),
-            )
-        )
-    # majority vote on extracted answers; ties broken by first-sampled order
-    keys = [extract_answer_key(a) for a in answers]
-    counts = Counter(keys)
-    best = max(counts.values())
-    for key, answer in zip(keys, answers):
-        if counts[key] == best:
-            return answer
-    return answers[0]
-
-
-def _run_self_refine(op, task, context, caller):
-    generator, reflector = op.invoking_nodes
-    answer = caller.call(
-        generator,
-        render_prompt(generator.prompt, {"task": task, "context": context}, op.op_id),
-    )
-    max_iter = int(op.params.get("max_iterations", 5))
-    for _ in range(max_iter):
-        feedback = caller.call(
-            reflector,
-            render_prompt(reflector.prompt, {"task": task, "response": answer}, op.op_id),
-        )
-        if SELFREFINE_STOP_MARKER in feedback:
-            break
-        revision_prompt = (
-            render_prompt(generator.prompt, {"task": task, "context": context}, op.op_id)
-            + f"\n\nPrevious answer:\n{answer}\n\nReviewer feedback:\n{feedback}\n"
-            "Revise your answer accordingly."
-        )
-        revised = caller.call(generator, revision_prompt)
-        if revised == answer:
-            break
-        answer = revised
-    return answer
-
-
-def _run_ensemble(op, task, context, caller):
-    answerers = op.invoking_nodes[:3]
-    ranker = op.invoking_nodes[3]
-    answers = []
-    for i, node in enumerate(answerers):
-        reply = caller.call(
-            node, render_prompt(node.prompt, {"task": task, "context": context}, op.op_id)
-        )
-        answers.append(f"[candidate {i + 1}] {reply}")
-    return caller.call(
-        ranker,
-        render_prompt(
-            ranker.prompt, {"task": task, "answers": "\n".join(answers)}, op.op_id
-        ),
-    )
-
-
-_TOOL_CALL_RE = re.compile(r"eval\(([^()]*(?:\([^()]*\)[^()]*)*)\)")
-
-
-def _run_react(op, task, context, caller, tools):
-    node = op.invoking_nodes[0]
-    max_iter = int(op.params.get("max_iterations", 5))
-    scratchpad = ""
-    reply = ""
-    for _ in range(max_iter):
-        reply = caller.call(
-            node,
-            render_prompt(
-                node.prompt,
-                {"task": task, "context": context, "scratchpad": scratchpad},
-                op.op_id,
-            ),
-        )
-        m = _TOOL_CALL_RE.search(reply)
-        if m is None or "eval" not in tools:
-            return reply
-        try:
-            observation = str(tools["eval"](m.group(1)))
-        except Exception as e:  # noqa: BLE001 - tool errors become observations
-            observation = f"tool error: {e}"
-        scratchpad += f"\nAction: eval({m.group(1)})\nObservation: {observation}"
-    return reply
-
-
-def _run_expert(op, task, context, caller):
-    router, expert = op.invoking_nodes
-    persona = caller.call(router, render_prompt(router.prompt, {"task": task}, op.op_id))
-    return caller.call(
-        expert,
-        render_prompt(expert.prompt, {"task": task, "persona": persona.strip()}, op.op_id),
-    )
-
-
-def _run_custom(op, task, context, caller):
-    node_ids = [n.node_id for n in op.invoking_nodes]
-    order = topological_order(node_ids, op.intra_edges)
-    if order is None:
-        raise StructureError(f"operator {op.op_id!r}: intra-edge cycle")
-    outputs: dict[str, str] = {}
-    preds: dict[str, list[str]] = {nid: [] for nid in node_ids}
-    for a, b in op.intra_edges:
-        preds[b].append(a)
-    last = ""
-    for nid in order:
-        node = op.node(nid)
-        inner = "\n".join(
-            f"## Output of {p}:\n{outputs[p]}" for p in sorted(preds[nid])
-        )
-        ctx = (context + "\n" + inner).strip() if inner else context
-        last = caller.call(
-            node, render_prompt(node.prompt, {"task": task, "context": ctx}, op.op_id)
-        )
-        outputs[nid] = last
-    return last
-
-
-def run_operator(
-    op: OperatorNode,
-    task: str,
-    context: str,
-    caller: _Caller,
-    tools: Optional[Mapping[str, Callable]] = None,
-) -> str:
-    _check_arity(op)
-    if tools is None:
-        tools = default_tool_registry()
-    if op.kind == "CoT":
-        return _run_cot(op, task, context, caller)
-    if op.kind == "Debate":
-        return _run_debate(op, task, context, caller)
-    if op.kind == "StepBack":
-        return _run_stepback(op, task, context, caller)
-    if op.kind == "SelfConsistency":
-        return _run_self_consistency(op, task, context, caller)
-    if op.kind == "SelfRefine":
-        return _run_self_refine(op, task, context, caller)
-    if op.kind == "Ensemble":
-        return _run_ensemble(op, task, context, caller)
-    if op.kind == "ReAct":
-        return _run_react(op, task, context, caller, tools)
-    if op.kind == "ExpertPrompt":
-        return _run_expert(op, task, context, caller)
-    if op.kind == "Custom":
-        return _run_custom(op, task, context, caller)
-    raise StructureError(f"unknown operator kind {op.kind!r}")
 
 
 def execute(
@@ -379,45 +133,6 @@ def execute(
 
 # --- answer scoring ----------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?(?:\s*/\s*-?\d+)?")
-_BOXED_RE = re.compile(r"boxed\{([^{}]*)\}")
-
-
-def _parse_number(text: str) -> Optional[float]:
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        try:
-            return float(num) / float(den)
-        except (ValueError, ZeroDivisionError):
-            return None
-    try:
-        return float(text)
-    except ValueError:
-        return None
-
-
-def extract_number(answer: str) -> Optional[float]:
-    """Boxed content when present, else the last number in the text."""
-    boxed = _BOXED_RE.findall(answer)
-    if boxed:
-        value = _parse_number(boxed[-1])
-        if value is not None:
-            return value
-    matches = _NUMBER_RE.findall(answer)
-    if not matches:
-        return None
-    return _parse_number(matches[-1])
-
-
-def extract_answer_key(answer: str) -> str:
-    """Normalized vote key used by majority voting."""
-    value = extract_number(answer)
-    if value is not None:
-        return f"num:{value:.9g}"
-    return " ".join(answer.strip().lower().split())
-
-
 def _normalize_text(text: str) -> str:
     return " ".join(text.strip().lower().split())
 
@@ -433,7 +148,7 @@ def evaluate(answer: str, query: TaskQuery) -> float:
     if query.metric == "exact":
         return 1.0 if _normalize_text(answer) == _normalize_text(query.gold) else 0.0
     if query.metric == "numeric":
-        gold = _parse_number(query.gold)
+        gold = parse_number(query.gold)
         if gold is None:
             raise InvalidInput(f"query {query.query_id!r}: gold is not numeric")
         got = extract_number(answer)
@@ -442,48 +157,6 @@ def evaluate(answer: str, query: TaskQuery) -> float:
         tol = 1e-6 * max(abs(gold), 1e-9)
         return 1.0 if abs(got - gold) <= tol else 0.0
     raise InvalidInput(f"unknown metric {query.metric!r}")
-
-
-# --- arithmetic tool (default ReAct registry) ---------------------------------
-
-_ALLOWED_BINOPS = {
-    ast.Add: _op_mod.add,
-    ast.Sub: _op_mod.sub,
-    ast.Mult: _op_mod.mul,
-    ast.Div: _op_mod.truediv,
-    ast.FloorDiv: _op_mod.floordiv,
-    ast.Mod: _op_mod.mod,
-    ast.Pow: _op_mod.pow,
-}
-
-
-def safe_arithmetic_eval(expression: str):
-    """Evaluate a pure arithmetic expression; anything else is rejected."""
-
-    def walk(node):
-        if isinstance(node, ast.Expression):
-            return walk(node.body)
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            return node.value
-        if isinstance(node, ast.BinOp) and type(node.op) in _ALLOWED_BINOPS:
-            return _ALLOWED_BINOPS[type(node.op)](walk(node.left), walk(node.right))
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            value = walk(node.operand)
-            return -value if isinstance(node.op, ast.USub) else value
-        raise InvalidInput(f"disallowed expression element {type(node).__name__}")
-
-    try:
-        tree = ast.parse(expression.strip(), mode="eval")
-    except SyntaxError as e:
-        raise InvalidInput(f"malformed expression: {e.msg}") from None
-    result = walk(tree)
-    if isinstance(result, float) and result.is_integer():
-        return int(result)
-    return result
-
-
-def default_tool_registry() -> dict[str, Callable]:
-    return {"eval": safe_arithmetic_eval}
 
 
 def export_trace(trace: ExecutionTrace, run_dir, query_id: str, workflow_id: str) -> Path:

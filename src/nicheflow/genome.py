@@ -14,22 +14,9 @@ import numpy as np
 
 from . import canonical
 from .errors import GenomeParseError, InvalidInput
+from .operators import OPERATORS, arity_violation, topological_order
 
 SCHEMA_VERSION = 1
-
-# Operator kinds and the number of invoking nodes each requires.
-# Custom is a free intra-DAG and only needs at least one node.
-KIND_NODE_ARITY: dict[str, int] = {
-    "CoT": 1,
-    "Debate": 4,  # three debaters + aggregator
-    "StepBack": 2,  # principle node + answer node
-    "SelfConsistency": 1,  # one node sampled repeatedly
-    "SelfRefine": 2,  # generator + reflector
-    "Ensemble": 4,  # three answerers + pairwise ranker
-    "ReAct": 1,
-    "ExpertPrompt": 2,  # router + expert
-}
-OPERATOR_KINDS: tuple[str, ...] = tuple(KIND_NODE_ARITY) + ("Custom",)
 
 
 @dataclass(frozen=True)
@@ -137,33 +124,6 @@ class WorkflowGenome:
         return replace(self, tags=tuple(tags), tag_vectors=tag_vectors)
 
 
-def topological_order(nodes: Sequence[str], edges: Iterable[tuple[str, str]]) -> Optional[list[str]]:
-    """Kahn's algorithm with lexicographic tie-breaking; None if cyclic."""
-    nodes = list(nodes)
-    succ: dict[str, set[str]] = {n: set() for n in nodes}
-    indeg: dict[str, int] = {n: 0 for n in nodes}
-    for a, b in edges:
-        if b not in succ[a]:
-            succ[a].add(b)
-            indeg[b] += 1
-    ready = sorted(n for n in nodes if indeg[n] == 0)
-    order: list[str] = []
-    while ready:
-        n = ready.pop(0)
-        order.append(n)
-        for m in sorted(succ[n]):
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                # insert keeping `ready` sorted for deterministic order
-                lo = 0
-                while lo < len(ready) and ready[lo] < m:
-                    lo += 1
-                ready.insert(lo, m)
-    if len(order) != len(nodes):
-        return None
-    return order
-
-
 def sink_operators(genome: WorkflowGenome) -> list[str]:
     has_out = {a for a, _ in genome.inter_edges}
     return [op.op_id for op in genome.operators if op.op_id not in has_out]
@@ -189,18 +149,14 @@ def validate(genome: WorkflowGenome, pool: ModelPool, kappa: int = 5) -> list[st
 
     all_node_ids: set[str] = set()
     for op in genome.operators:
-        if op.kind not in OPERATOR_KINDS:
+        if op.kind not in OPERATORS:
             v.append(f"operator {op.op_id!r}: unknown kind {op.kind!r}")
             continue
+        problem = arity_violation(op)
+        if problem is not None:
+            v.append(problem)
         if not op.invoking_nodes:
-            v.append(f"operator {op.op_id!r}: no invoking nodes")
             continue
-        arity = KIND_NODE_ARITY.get(op.kind)
-        if arity is not None and len(op.invoking_nodes) != arity:
-            v.append(
-                f"operator {op.op_id!r}: kind {op.kind} needs {arity} nodes, "
-                f"has {len(op.invoking_nodes)}"
-            )
         node_ids = [n.node_id for n in op.invoking_nodes]
         for nid in node_ids:
             if nid in all_node_ids:

@@ -1,5 +1,6 @@
-"""Configurable text assets: default per-kind node prompts, the tag-generation
-template, and the crossover / mutation instruction templates.
+"""Configurable text assets: the tag-generation template, the crossover /
+mutation instruction templates, and operator instantiation from the operator
+registry's per-kind defaults.
 
 All templates use named placeholders; the executor resolves them at call time
 and treats any leftover placeholder as an error.
@@ -7,6 +8,7 @@ and treats any leftover placeholder as an error.
 
 from .embedding import TagPrompt
 from .genome import InvokingNode, OperatorNode
+from .operators import OPERATORS
 
 TAG_GENERATION_PROMPT = TagPrompt(
     template="""You summarize agentic workflows for retrieval.
@@ -60,22 +62,6 @@ Current model: {CURRENT}
 Reply with just the model id to use instead (or the current one to keep it).
 """
 
-OPERATOR_MUTATION_PROMPT = """You restructure a multi-agent workflow.
-
-Current workflow:
-{WORKFLOW}
-
-Available operator kinds: {KINDS}
-Recent outcomes:
-{HISTORY}
-
-Propose one change: add an operator, remove an operator, or rewire one edge.
-Reply with a single JSON workflow document using the same schema, and nothing
-else.
-"""
-
-SELFREFINE_STOP_MARKER = "NO FURTHER REFINEMENT"
-
 # Deterministic prompt-mutation edits; each preserves existing placeholders
 # because it only appends or prepends text.
 PROMPT_EDITS = (
@@ -84,94 +70,11 @@ PROMPT_EDITS = (
     lambda p: "You are a meticulous domain expert.\n" + p,
 )
 
-# Per-kind default node prompts, in node-role order.
-_COT = (
-    "Solve the following task.\n{task}\n{context}\n"
-    "Think step by step, then give the final answer.",
-)
-_DEBATE = (
-    "You are debater 1. Task:\n{task}\n{context}\n"
-    "Positions so far:\n{positions}\nArgue for the best answer.",
-    "You are debater 2. Task:\n{task}\n{context}\n"
-    "Positions so far:\n{positions}\nArgue for the best answer.",
-    "You are debater 3. Task:\n{task}\n{context}\n"
-    "Positions so far:\n{positions}\nArgue for the best answer.",
-    "Task:\n{task}\nDebate positions:\n{positions}\n"
-    "Weigh the arguments and give the final answer.",
-)
-_STEPBACK = (
-    "Task:\n{task}\n{context}\n"
-    "Before solving, state the general principles this task rests on.",
-    "Task:\n{task}\nRelevant principles:\n{principle}\n"
-    "Apply the principles and give the final answer.",
-)
-_SELFCONSISTENCY = (
-    "Solve the following task (attempt {sample}).\n{task}\n{context}\n"
-    "Reason step by step, then give the final answer.",
-)
-_SELFREFINE = (
-    "Solve the following task.\n{task}\n{context}\n"
-    "Reason step by step, then give the final answer.",
-    "Task:\n{task}\nCandidate answer:\n{response}\n"
-    "Critique the answer. If it needs no change, reply exactly "
-    "'" + SELFREFINE_STOP_MARKER + "'.",
-)
-_ENSEMBLE = (
-    "Solve the following task.\n{task}\n{context}\nGive the final answer.",
-    "Solve the following task independently.\n{task}\n{context}\nGive the final answer.",
-    "Solve the following task your own way.\n{task}\n{context}\nGive the final answer.",
-    "Task:\n{task}\nCandidate answers:\n{answers}\n"
-    "Compare the candidates pairwise and give the best final answer.",
-)
-_REACT = (
-    "Task:\n{task}\n{context}\nScratchpad:\n{scratchpad}\n"
-    "You may call a tool by writing eval(<arithmetic expression>). "
-    "Otherwise give the final answer.",
-)
-_EXPERT = (
-    "Task:\n{task}\nName the single best expert persona for this task.",
-    "You are {persona}. Task:\n{task}\nGive the final answer.",
-)
-_CUSTOM = (
-    "Solve the following task.\n{task}\n{context}\nGive the final answer.",
-)
-
-DEFAULT_NODE_PROMPTS: dict[str, tuple[str, ...]] = {
-    "CoT": _COT,
-    "Debate": _DEBATE,
-    "StepBack": _STEPBACK,
-    "SelfConsistency": _SELFCONSISTENCY,
-    "SelfRefine": _SELFREFINE,
-    "Ensemble": _ENSEMBLE,
-    "ReAct": _REACT,
-    "ExpertPrompt": _EXPERT,
-    "Custom": _CUSTOM,
-}
-
-# Default intra-operator wiring, as (from_index, to_index) over the node order.
-DEFAULT_INTRA_EDGES: dict[str, tuple[tuple[int, int], ...]] = {
-    "CoT": (),
-    "Debate": ((0, 3), (1, 3), (2, 3)),
-    "StepBack": ((0, 1),),
-    "SelfConsistency": (),
-    "SelfRefine": ((0, 1),),
-    "Ensemble": ((0, 3), (1, 3), (2, 3)),
-    "ReAct": (),
-    "ExpertPrompt": ((0, 1),),
-    "Custom": (),
-}
-
-DEFAULT_PARAMS: dict[str, dict] = {
-    "Debate": {"rounds": 2},
-    "SelfConsistency": {"samples": 5},
-    "SelfRefine": {"max_iterations": 5},
-    "ReAct": {"max_iterations": 5},
-}
-
 
 def build_operator(kind: str, op_id: str, model_ids: list[str], temperature: float = 1.0) -> OperatorNode:
     """Instantiate an operator template with one model id per node."""
-    prompts = DEFAULT_NODE_PROMPTS[kind]
+    spec = OPERATORS[kind]
+    prompts = spec.prompts
     if len(model_ids) != len(prompts):
         raise ValueError(f"kind {kind} needs {len(prompts)} model ids, got {len(model_ids)}")
     nodes = tuple(
@@ -184,28 +87,23 @@ def build_operator(kind: str, op_id: str, model_ids: list[str], temperature: flo
         for i in range(len(prompts))
     )
     edges = tuple(
-        (nodes[a].node_id, nodes[b].node_id) for a, b in DEFAULT_INTRA_EDGES[kind]
+        (nodes[a].node_id, nodes[b].node_id) for a, b in spec.edges
     )
     return OperatorNode(
         op_id=op_id,
         kind=kind,
         invoking_nodes=nodes,
         intra_edges=edges,
-        params=dict(DEFAULT_PARAMS.get(kind, {})),
+        params=dict(spec.params),
     )
 
 
 def template_node_count(kind: str) -> int:
-    return len(DEFAULT_NODE_PROMPTS[kind])
+    return len(OPERATORS[kind].prompts)
 
 
-DEFAULT_OPERATOR_REPO: tuple[str, ...] = (
-    "CoT",
-    "Debate",
-    "StepBack",
-    "SelfConsistency",
-    "SelfRefine",
-    "Ensemble",
-    "ReAct",
-    "ExpertPrompt",
+# The kinds that initialization and operator mutation draw from, in registry
+# order; both index this tuple with the RNG.
+DEFAULT_OPERATOR_REPO: tuple[str, ...] = tuple(
+    kind for kind, spec in OPERATORS.items() if not spec.variable
 )

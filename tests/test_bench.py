@@ -20,10 +20,12 @@ from nicheflow.bench import (
 )
 from nicheflow.errors import ConfigError, InvalidInput
 from nicheflow.evolution import ObjectivePoint, Population, dominates
+from nicheflow.executor import _Caller
 from nicheflow.genome import RunStats
+from nicheflow.operators import OPERATORS, run_operator
 from nicheflow.provider import parse_task_envelope
 
-from conftest import build_genome
+from conftest import ScriptedProvider, build_genome
 
 
 def oracle_front(points):
@@ -232,7 +234,7 @@ def test_front_table_and_export(tmp_path):
 
 # --- complexity tiers -------------------------------------------------------------------
 
-def test_nominal_call_count_table():
+def test_nominal_call_count_table(pool):
     assert nominal_call_count(build_genome(kinds=("CoT",))) == 1
     assert nominal_call_count(build_genome(kinds=("StepBack",))) == 2
     assert nominal_call_count(build_genome(kinds=("Debate",))) == 7
@@ -240,6 +242,18 @@ def test_nominal_call_count_table():
     assert nominal_call_count(build_genome(kinds=("Ensemble",))) == 4
     assert nominal_call_count(build_genome(kinds=("ExpertPrompt",))) == 2
     assert nominal_call_count(build_genome(kinds=("Debate", "SelfConsistency"))) == 12
+    assert nominal_call_count(build_genome(kinds=("SelfRefine", "ReAct"))) == 4
+    assert nominal_call_count(build_genome(kinds=("Custom",))) == 1
+    # Each fixed kind's estimate is the calls its runner makes on default
+    # params. One constant reply: SelfRefine's critique never stops it and its
+    # revision changes nothing (3 of up to 11 calls); ReAct calls no tool.
+    for kind, spec in OPERATORS.items():
+        if spec.variable:
+            continue
+        genome = build_genome(kinds=(kind,))
+        caller = _Caller(ScriptedProvider(["the answer is 42"]), pool, budget=64)
+        run_operator(genome.operators[0], "task", "", caller)
+        assert caller.count == nominal_call_count(genome), kind
 
 
 def test_call_count_tiers():

@@ -188,6 +188,20 @@ def test_cli_evolve_then_infer(tmp_path, capsys):
     assert budget_result["workflow_id"] in pop.ids
 
 
+def test_cli_infer_and_bench_do_not_read_experience_logs(tmp_path):
+    path, run_dir = _write_config(tmp_path)
+    assert main(["--config", str(path), "init"]) == 0
+    assert main(["--config", str(path), "evolve", "--steps", "2"]) == 0
+    log = run_dir / "memory" / "llm_pool.log"
+    lines = log.read_text().splitlines()
+    lines[1] = "{corrupt"
+    log.write_text("\n".join(lines) + "\n")
+    assert main(["--config", str(path), "infer", "--query", "Compute 2 + 2."]) == 0
+    assert main(["--config", str(path), "bench", "--suite", str(tmp_path / "suite.json")]) == 0
+    # evolve reads the log, and refuses the corrupt middle record
+    assert main(["--config", str(path), "evolve", "--steps", "1"]) == 4
+
+
 def test_cli_resume_matches_uninterrupted_run(tmp_path):
     path_a, run_a = _write_config(tmp_path, name="a.json")
     path_b = tmp_path / "b.json"

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from nicheflow.embedding import (
     HashingEmbedder,
-    RemoteEmbedder,
     _parse_tag_reply,
     cosine,
     generate_tags,
@@ -163,65 +162,3 @@ def test_generate_tags_always_returns_kappa(reply):
     tags = generate_tags(g, ScriptedProvider([reply]), TAG_GENERATION_PROMPT, pool)
     assert len(tags) == 5
     assert all(t.strip() for t in tags)
-
-
-# --- remote embedder -----------------------------------------------------------
-
-class _FakeResponse:
-    def __init__(self, payload, fail=False):
-        self._payload = payload
-        self._fail = fail
-
-    def raise_for_status(self):
-        if self._fail:
-            raise RuntimeError("HTTP 500")
-
-    def json(self):
-        return self._payload
-
-
-class _FakeSession:
-    def __init__(self, outcomes):
-        self.outcomes = list(outcomes)
-        self.calls = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers})
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-
-def test_remote_embedder_success_and_normalization():
-    session = _FakeSession([_FakeResponse({"data": [{"embedding": [3.0, 4.0]}]})])
-    e = RemoteEmbedder("http://svc/embed", "embed-model", api_key="k",
-                       session=session, sleep=lambda s: None)
-    v = e.embed("hello")
-    assert np.allclose(v, [0.6, 0.8])
-    call = session.calls[0]
-    assert call["json"] == {"model": "embed-model", "input": ["hello"]}
-    assert call["headers"]["Authorization"] == "Bearer k"
-
-
-def test_remote_embedder_retries_with_backoff_then_fails():
-    from nicheflow.errors import ProviderError
-
-    session = _FakeSession([RuntimeError("down")] * 3)
-    sleeps = []
-    e = RemoteEmbedder("http://svc/embed", "m", session=session,
-                       sleep=sleeps.append)
-    with pytest.raises(ProviderError) as ei:
-        e.embed("hello")
-    assert ei.value.attempts == 3
-    assert sleeps == [0.5, 1.0]
-
-
-def test_remote_embedder_recovers_on_second_attempt():
-    session = _FakeSession([
-        _FakeResponse({}, fail=True),
-        _FakeResponse({"data": [{"embedding": [1.0, 0.0]}]}),
-    ])
-    e = RemoteEmbedder("http://svc/embed", "m", session=session, sleep=lambda s: None)
-    assert np.allclose(e.embed("hello"), [1.0, 0.0])
-    assert len(session.calls) == 2

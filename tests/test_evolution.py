@@ -361,14 +361,14 @@ def test_mutate_operator_results_always_validate(pool, embedder):
     rng = np.random.default_rng(42)
     for _ in range(300):
         g = pop.members[int(rng.integers(len(pop.members)))]
-        out = mutate_operator(g, None, rng, pool=pool, cfg=cfg)
+        out = mutate_operator(g, rng, pool=pool, cfg=cfg)
         assert validate(out, pool) == []
 
 
 def test_mutate_operator_add_inserts_one(pool):
     g = build_genome(kinds=("CoT",))
     cfg = EvolutionConfig(mutation_weights=(1.0, 0.0, 0.0))
-    out = mutate_operator(g, None, np.random.default_rng(0), pool=pool, cfg=cfg)
+    out = mutate_operator(g, np.random.default_rng(0), pool=pool, cfg=cfg)
     assert len(out.operators) == 2
     assert out.inter_edges == chain_edges(out.operators)
 
@@ -376,14 +376,14 @@ def test_mutate_operator_add_inserts_one(pool):
 def test_mutate_operator_delete_keeps_single_op(pool):
     g = build_genome(kinds=("CoT",))
     cfg = EvolutionConfig(mutation_weights=(0.0, 1.0, 0.0))
-    out = mutate_operator(g, None, np.random.default_rng(0), pool=pool, cfg=cfg)
+    out = mutate_operator(g, np.random.default_rng(0), pool=pool, cfg=cfg)
     assert out is g
 
 
 def test_mutate_operator_delete_removes_non_sink(pool):
     g = build_genome(kinds=("CoT", "Debate", "StepBack"))
     cfg = EvolutionConfig(mutation_weights=(0.0, 1.0, 0.0))
-    out = mutate_operator(g, None, np.random.default_rng(1), pool=pool, cfg=cfg)
+    out = mutate_operator(g, np.random.default_rng(1), pool=pool, cfg=cfg)
     assert len(out.operators) == 2
     # the original sink's kind survives
     assert out.operators[-1].kind == "StepBack"
@@ -393,7 +393,7 @@ def test_mutate_operator_delete_removes_non_sink(pool):
 def test_mutate_operator_rewire_adds_forward_edge(pool):
     g = build_genome(kinds=("CoT", "Debate", "StepBack"))
     cfg = EvolutionConfig(mutation_weights=(0.0, 0.0, 1.0))
-    out = mutate_operator(g, None, np.random.default_rng(2), pool=pool, cfg=cfg)
+    out = mutate_operator(g, np.random.default_rng(2), pool=pool, cfg=cfg)
     assert len(out.inter_edges) == len(g.inter_edges) + 1
     assert validate(out, pool) == []
 

@@ -14,19 +14,22 @@ from nicheflow.errors import (
 from nicheflow.executor import (
     TaskQuery,
     _Caller,
-    default_tool_registry,
     evaluate,
     execute,
     export_trace,
+    run_operator,
+)
+from nicheflow.genome import InvokingNode, OperatorNode
+from nicheflow.operators import (
+    SELFREFINE_STOP_MARKER,
+    default_tool_registry,
     extract_answer_key,
     extract_number,
     render_prompt,
-    run_operator,
     safe_arithmetic_eval,
 )
-from nicheflow.genome import InvokingNode, OperatorNode
 from nicheflow.provider import ChatRequest, call_cost, make_task_envelope
-from nicheflow.templates import SELFREFINE_STOP_MARKER, build_operator, template_node_count
+from nicheflow.templates import build_operator, template_node_count
 
 from conftest import ScriptedProvider, build_genome
 

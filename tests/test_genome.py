@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from nicheflow.canonical import dumps as canonical_dumps
 from nicheflow.errors import GenomeParseError, InvalidInput
 from nicheflow.genome import (
-    KIND_NODE_ARITY,
     InvokingNode,
     ModelPool,
     ModelSpec,
@@ -23,6 +22,8 @@ from nicheflow.genome import (
     topological_order,
     validate,
 )
+from nicheflow.operators import OPERATORS
+from nicheflow.templates import DEFAULT_OPERATOR_REPO
 
 from conftest import MODEL_SPECS, build_genome
 
@@ -49,8 +50,8 @@ def test_valid_genome_has_no_violations(pool):
     assert validate(g, pool) == []
 
 
-def test_arity_table_matches_templates():
-    assert KIND_NODE_ARITY == {
+def test_operator_registry_table(pool):
+    assert {kind: spec.arity for kind, spec in OPERATORS.items()} == {
         "CoT": 1,
         "Debate": 4,
         "StepBack": 2,
@@ -59,7 +60,19 @@ def test_arity_table_matches_templates():
         "Ensemble": 4,
         "ReAct": 1,
         "ExpertPrompt": 2,
+        "Custom": None,
     }
+    for kind, spec in OPERATORS.items():
+        nodes = [str(i) for i in range(len(spec.prompts))]
+        assert all(0 <= a < len(nodes) and 0 <= b < len(nodes) for a, b in spec.edges), kind
+        assert topological_order(nodes, [(str(a), str(b)) for a, b in spec.edges]) is not None
+        assert validate(build_genome(kinds=(kind,)), pool) == [], kind
+    # init and operator mutation index this tuple with the RNG: its order is
+    # part of every trajectory
+    assert DEFAULT_OPERATOR_REPO == (
+        "CoT", "Debate", "StepBack", "SelfConsistency",
+        "SelfRefine", "Ensemble", "ReAct", "ExpertPrompt",
+    )
 
 
 def test_validate_reports_cycle(pool):

@@ -1,0 +1,72 @@
+"""Golden determinism: output bytes pinned across commits.
+
+Criterion 5 compares two runs made by the same code, so it cannot notice a
+change that moves every run the same way. These digests pin the bytes
+themselves; a refactor that claims to keep behaviour must keep them. The
+memory logs are left out because their records carry wall-clock time.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+
+from nicheflow import canonical
+from nicheflow.bench import DomainSpec, generate_suite, interleave_tasks
+from nicheflow.cli import main
+from nicheflow.embedding import HashingEmbedder
+from nicheflow.evolution import EvolutionConfig, EvolveDeps, evolve_step, init_population
+from nicheflow.genome import ModelPool, serialize
+from nicheflow.memory import LlmExperiencePool, WorkflowExperiencePool
+from nicheflow.provider import SimulatedProvider
+from nicheflow.templates import DEFAULT_OPERATOR_REPO
+
+from conftest import MODEL_SPECS, SIM_PROFILES
+from test_acceptance import _cli_config_doc
+
+CLI_RUN_SHA256 = "c0c2aa2a3e0ae7806bc525951647d2b4f1e481de22cd0d4b4b3ad35bb428316d"
+LLM_RUN_SHA256 = "68cabca2f61f69c8256a424212db9b1abf84a40da743f9b234cea5a64fd31acc"
+
+
+def _digest(named_chunks) -> str:
+    h = hashlib.sha256()
+    for name, data in named_chunks:
+        h.update(name.encode("utf-8") + b"\0" + data + b"\0")
+    return h.hexdigest()
+
+
+def test_cli_run_bytes_are_pinned(tmp_path):
+    """Criterion 5's configuration: init, then 50 evolve steps."""
+    run_dir = tmp_path / "run"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_cli_config_doc(run_dir)))
+    assert main(["--config", str(config), "init"]) == 0
+    assert main(["--config", str(config), "evolve", "--steps", "50"]) == 0
+    files = sorted((run_dir / "population").iterdir()) + [run_dir / "steps.jsonl"]
+    assert _digest((p.name, p.read_bytes()) for p in files) == CLI_RUN_SHA256
+
+
+def test_llm_route_run_is_pinned():
+    """16 library steps with ``llm_evolution`` on: crossover, both mutations
+    and tagging ask the evolver model first, then fall back."""
+    seed, steps = 3, 16
+    cfg = EvolutionConfig(llm_evolution=True)
+    pool = ModelPool(MODEL_SPECS)
+    provider = SimulatedProvider(SIM_PROFILES, seed=seed)
+    embedder = HashingEmbedder(dim=64)
+    deps = EvolveDeps(
+        cfg=cfg, pool=pool, provider=provider, embedder=embedder,
+        llm_pool=LlmExperiencePool(), wf_pool=WorkflowExperiencePool(),
+    )
+    domains = [DomainSpec("easy", 0.2), DomainSpec("hard", 0.8)]
+    tasks = interleave_tasks(generate_suite(domains, 20, seed=seed))
+    pop = init_population(cfg, DEFAULT_OPERATOR_REPO, pool, embedder,
+                          np.random.default_rng([seed, 0]), provider=provider, seed=seed)
+    reports = []
+    for step in range(steps):
+        pop, report = evolve_step(pop, tasks[step % len(tasks)], deps,
+                                  np.random.default_rng([seed, 1000 + step]))
+        reports.append(report.to_doc())
+    chunks = [(f"step{i}", canonical.dumps(r).encode("utf-8")) for i, r in enumerate(reports)]
+    chunks += [(m.workflow_id, serialize(m).encode("utf-8")) for m in pop.members]
+    assert _digest(chunks) == LLM_RUN_SHA256
