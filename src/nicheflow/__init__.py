@@ -38,6 +38,7 @@ from .evolution import (
     fitness,
     infer,
     init_population,
+    make_evolver,
     mutate_llm,
     mutate_operator,
     mutate_prompt,
@@ -67,6 +68,7 @@ from .memory import (
 from .provider import (
     ChatRequest,
     ChatResponse,
+    Evolver,
     HttpProvider,
     SimModelProfile,
     SimulatedProvider,

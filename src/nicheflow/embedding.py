@@ -8,14 +8,14 @@ hashing), so the whole evolutionary loop is testable with zero network access.
 import hashlib
 import re
 import threading
-from dataclasses import dataclass
 from typing import Optional, Protocol
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidState, ProviderError
+from .errors import InvalidInput, InvalidState
 from .genome import ModelPool, WorkflowGenome, serialize
-from .provider import ChatRequest
+from .provider import Evolver
+from .templates import TAG_GENERATION_PROMPT
 
 DEFAULT_DIM = 384
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -36,12 +36,19 @@ def _check_unit(vec: np.ndarray) -> np.ndarray:
     return vec / norm
 
 
-class _CachingEmbedder:
-    """Shared (backend_id, text) cache; embed results are read-mostly."""
+class HashingEmbedder:
+    """Deterministic offline embedder: character 3-grams of lowercased tokens,
+    feature-hashed into ``dim`` buckets with term-frequency weights, L2 norm.
 
-    backend_id = "base"
+    Vectors are cached per stripped text; the cache is shared between threads,
+    so it is guarded by a lock.
+    """
 
-    def __init__(self):
+    def __init__(self, dim: int = DEFAULT_DIM):
+        if dim < 2:
+            raise InvalidInput("embedding dimension must be >= 2")
+        self.dim = dim
+        self.backend_id = f"hash3-{dim}"
         self._cache: dict[str, np.ndarray] = {}
         self._lock = threading.Lock()
 
@@ -57,21 +64,6 @@ class _CachingEmbedder:
         with self._lock:
             self._cache[key] = vec
         return vec
-
-    def _embed_uncached(self, text: str) -> np.ndarray:
-        raise NotImplementedError
-
-
-class HashingEmbedder(_CachingEmbedder):
-    """Deterministic offline embedder: character 3-grams of lowercased tokens,
-    feature-hashed into ``dim`` buckets with term-frequency weights, L2 norm."""
-
-    def __init__(self, dim: int = DEFAULT_DIM):
-        super().__init__()
-        if dim < 2:
-            raise InvalidInput("embedding dimension must be >= 2")
-        self.dim = dim
-        self.backend_id = f"hash3-{dim}"
 
     def _embed_uncached(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=np.float64)
@@ -128,14 +120,6 @@ def tag_profile(genome: WorkflowGenome) -> np.ndarray:
 
 # --- tag generation ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class TagPrompt:
-    """Template for model-driven tag generation; placeholders {NAME},
-    {DESCRIPTION}, {CODE}, {TASK}."""
-
-    template: str
-
-
 def _parse_tag_reply(reply: str, kappa: int) -> Optional[list[str]]:
     line = reply.strip().splitlines()[-1] if reply.strip() else ""
     parts = [p.strip() for p in line.split(",")]
@@ -169,39 +153,23 @@ def structural_tags(genome: WorkflowGenome, pool: ModelPool, kappa: int = 5) -> 
 
 def generate_tags(
     genome: WorkflowGenome,
-    provider,
-    template: TagPrompt,
+    evolver: Optional[Evolver],
     pool: ModelPool,
     kappa: int = 5,
-    tagger_model: str | None = None,
-    retries: int = 3,
 ) -> list[str]:
-    """Ask a model for kappa comma-separated tags; fall back to the structural
-    tagger after ``retries`` malformed replies or on transport failure.
+    """Ask the evolver for kappa comma-separated tags; fall back to the
+    structural tagger without an evolver, after its retries of malformed
+    replies, or on transport failure.
 
     Always returns exactly kappa tags.
     """
-    if provider is None:
+    if evolver is None:
         return structural_tags(genome, pool, kappa)
-    prompt = template.template.format(
+    prompt = TAG_GENERATION_PROMPT.format(
         NAME=genome.workflow_id,
         DESCRIPTION=", ".join(op.kind for op in genome.operators),
         CODE=serialize(genome),
         TASK="(no solved task recorded yet)",
     )
-    model_id = tagger_model or pool.model_ids[0]
-    for _ in range(retries):
-        try:
-            resp = provider.chat(
-                ChatRequest(
-                    model_id=model_id,
-                    messages=({"role": "user", "content": prompt},),
-                    temperature=1.0,
-                )
-            )
-        except ProviderError:
-            break
-        tags = _parse_tag_reply(resp.content, kappa)
-        if tags is not None:
-            return tags
-    return structural_tags(genome, pool, kappa)
+    tags = evolver.ask(prompt, lambda reply: _parse_tag_reply(reply, kappa), retry=True)
+    return tags if tags is not None else structural_tags(genome, pool, kappa)

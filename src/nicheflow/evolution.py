@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import embedding as emb
-from .errors import BudgetExceeded, ConfigError, ProviderError
+from .errors import BudgetExceeded, ConfigError
 from .executor import TaskQuery, evaluate, execute
 from .genome import (
     InvokingNode,
@@ -34,14 +34,13 @@ from .memory import (
     verdict_from_perf,
 )
 from .operators import topological_order
-from .provider import ChatRequest
+from .provider import Evolver
 from .templates import (
     CROSSOVER_PROMPT,
     DEFAULT_OPERATOR_REPO,
     LLM_MUTATION_PROMPT,
     PROMPT_EDITS,
     PROMPT_MUTATION_PROMPT,
-    TAG_GENERATION_PROMPT,
     build_operator,
     template_node_count,
 )
@@ -78,6 +77,16 @@ class EvolutionConfig:
             raise ConfigError("phi must be > 0")
         if self.m_max < 1:
             raise ConfigError("m_max must be >= 1")
+
+
+def make_evolver(cfg: EvolutionConfig, provider, pool: ModelPool) -> Optional[Evolver]:
+    """The model that crossover, model pick, prompt rewrite and tagging ask,
+    or None when ``llm_evolution`` is off or there is no provider, in which
+    case every route takes its rule-based path. ``evolver_model`` defaults to
+    the pool's alphabetically first model id."""
+    if not cfg.llm_evolution or provider is None:
+        return None
+    return Evolver(provider, cfg.evolver_model or pool.model_ids[0], cfg.retries)
 
 
 @dataclass
@@ -190,7 +199,6 @@ def init_population(
     embedder,
     rng: np.random.Generator,
     provider=None,
-    tag_template=TAG_GENERATION_PROMPT,
     seed: int = 0,
 ) -> Population:
     """Sample N genomes: uniform operator templates, uniform model choices,
@@ -200,6 +208,7 @@ def init_population(
         raise ConfigError("operator repository must be nonempty")
     if len(pool) == 0:
         raise ConfigError("model pool must be nonempty")
+    evolver = make_evolver(cfg, provider, pool)
     model_ids = pool.model_ids
     members: list[WorkflowGenome] = []
     taken: set[str] = set()
@@ -217,15 +226,7 @@ def init_population(
                 if rng.random() < cfg.skip_edge_prob:
                     edges.append((ops[i].op_id, ops[j].op_id))
         genome = _assemble(ops, edges, [], {"parents": [], "mode": "init"}, taken)
-        tags = emb.generate_tags(
-            genome,
-            provider if cfg.llm_evolution else None,
-            tag_template,
-            pool,
-            kappa=cfg.kappa,
-            tagger_model=cfg.evolver_model,
-            retries=cfg.retries,
-        )
+        tags = emb.generate_tags(genome, evolver, pool, kappa=cfg.kappa)
         genome = genome.with_tags(tags)
         genome = emb.with_tag_vectors(genome, embedder)
         violations = validate(genome, pool, kappa=cfg.kappa)
@@ -266,29 +267,18 @@ def _extract_json_document(reply: str) -> dict:
 
 
 def _llm_offspring_structure(
-    parents, provider, cfg: EvolutionConfig, pool: ModelPool, query_text: str
+    parents, evolver: Evolver, cfg: EvolutionConfig, pool: ModelPool, query_text: str
 ):
     prompt = CROSSOVER_PROMPT.format(
         QUERY=query_text or "(general task stream)",
         PARENTS="\n\n".join(serialize(p) for p in parents),
     )
-    model_id = cfg.evolver_model or pool.model_ids[0]
-    for _ in range(cfg.retries):
+
+    def parse(reply: str):
         try:
-            resp = provider.chat(
-                ChatRequest(
-                    model_id=model_id,
-                    messages=({"role": "user", "content": prompt},),
-                    temperature=1.0,
-                )
-            )
-        except ProviderError:
-            return None
-        try:
-            doc = _extract_json_document(resp.content)
-            candidate = from_document(doc)
+            candidate = from_document(_extract_json_document(reply))
         except Exception:  # noqa: BLE001 - malformed replies trigger a retry
-            continue
+            return None
         ops = renumber_operators(candidate.operators)
         remap = {
             old.op_id: new.op_id
@@ -303,14 +293,16 @@ def _llm_offspring_structure(
             workflow_id="trial", operators=ops, inter_edges=edges,
             tags=tuple(f"t{i}" for i in range(cfg.kappa)),
         )
-        if not validate(trial, pool, kappa=cfg.kappa):
-            return ops, edges
-    return None
+        if validate(trial, pool, kappa=cfg.kappa):
+            return None
+        return ops, edges
+
+    return evolver.ask(prompt, parse, retry=True)
 
 
 def crossover(
     parents: Sequence[WorkflowGenome],
-    provider,
+    evolver: Optional[Evolver],
     cfg: EvolutionConfig,
     rng: np.random.Generator,
     pool: ModelPool,
@@ -319,7 +311,7 @@ def crossover(
 ) -> WorkflowGenome:
     """Recombine the parents into an offspring sketch.
 
-    The model-driven route is tried first (when enabled); any parse or
+    The evolver's route is tried first (when given); any parse or
     validation failure falls back to a structured graft so the evolution step
     never aborts.
     """
@@ -328,8 +320,8 @@ def crossover(
     taken = set(taken or ())
     lineage = {"parents": [p.workflow_id for p in parents], "mode": "fallback"}
 
-    if cfg.llm_evolution and provider is not None:
-        result = _llm_offspring_structure(parents, provider, cfg, pool, query_text)
+    if evolver is not None:
+        result = _llm_offspring_structure(parents, evolver, cfg, pool, query_text)
         if result is not None:
             ops, edges = result
             lineage["mode"] = "llm"
@@ -350,7 +342,20 @@ def crossover(
 
 # --- mutations ------------------------------------------------------------
 
-def _rebuild_with_nodes(genome: WorkflowGenome, new_nodes: dict[str, InvokingNode]) -> WorkflowGenome:
+def _edit_nodes(genome: WorkflowGenome, rng: np.random.Generator, rho: float, edit) -> WorkflowGenome:
+    """Offer each invoking node to ``edit`` with probability rho; ``edit``
+    returns the node's replacement, or None to keep it. One ``rng.random()``
+    per node comes before any draw ``edit`` makes."""
+    new_nodes: dict[str, InvokingNode] = {}
+    for op in genome.operators:
+        for node in op.invoking_nodes:
+            if rng.random() >= rho:
+                continue
+            edited = edit(node)
+            if edited is not None:
+                new_nodes[node.node_id] = edited
+    if not new_nodes:
+        return genome
     ops = tuple(
         replace(
             op,
@@ -368,40 +373,37 @@ def mutate_llm(
     rng: np.random.Generator,
     domain: str = "general",
     rho: float = 0.3,
-    provider=None,
-    cfg: Optional[EvolutionConfig] = None,
+    evolver: Optional[Evolver] = None,
 ) -> WorkflowGenome:
-    """Swap invoking-node model backbones, weighted by each candidate model's
-    historical positive rate in the query's domain."""
+    """Swap invoking-node model backbones: the evolver's pick when it names a
+    pool model, else a draw weighted by each candidate model's historical
+    positive rate in the query's domain."""
     model_ids = pool.model_ids
     if len(model_ids) < 2:
         return genome
-    new_nodes: dict[str, InvokingNode] = {}
-    for op in genome.operators:
-        for node in op.invoking_nodes:
-            if rng.random() >= rho:
-                continue
-            replacement = None
-            if provider is not None and cfg is not None and cfg.llm_evolution:
-                replacement = _llm_pick_model(node, llm_pool, pool, domain, provider, cfg)
-            if replacement is None:
-                candidates = [m for m in model_ids if m != node.model_id]
-                if llm_pool is not None:
-                    weights = np.array(
-                        [llm_pool.query_summary(m, domain).positive_rate for m in candidates]
-                    )
-                else:
-                    weights = np.ones(len(candidates))
-                weights = weights / weights.sum()
-                replacement = candidates[int(rng.choice(len(candidates), p=weights))]
-            if replacement != node.model_id and replacement in pool:
-                new_nodes[node.node_id] = replace(node, model_id=replacement)
-    if not new_nodes:
-        return genome
-    return _rebuild_with_nodes(genome, new_nodes)
+
+    def swap(node: InvokingNode) -> Optional[InvokingNode]:
+        replacement = None
+        if evolver is not None:
+            replacement = _llm_pick_model(node, llm_pool, pool, domain, evolver)
+        if replacement is None:
+            candidates = [m for m in model_ids if m != node.model_id]
+            if llm_pool is not None:
+                weights = np.array(
+                    [llm_pool.query_summary(m, domain).positive_rate for m in candidates]
+                )
+            else:
+                weights = np.ones(len(candidates))
+            weights = weights / weights.sum()
+            replacement = candidates[int(rng.choice(len(candidates), p=weights))]
+        if replacement != node.model_id and replacement in pool:
+            return replace(node, model_id=replacement)
+        return None
+
+    return _edit_nodes(genome, rng, rho, swap)
 
 
-def _llm_pick_model(node, llm_pool, pool, domain, provider, cfg) -> Optional[str]:
+def _llm_pick_model(node, llm_pool, pool, domain, evolver: Evolver) -> Optional[str]:
     history = []
     for m in pool.model_ids:
         if llm_pool is None:
@@ -414,18 +416,12 @@ def _llm_pick_model(node, llm_pool, pool, domain, provider, cfg) -> Optional[str
         HISTORY="\n".join(history) or "(none)",
         CURRENT=node.model_id,
     )
-    try:
-        resp = provider.chat(
-            ChatRequest(
-                model_id=cfg.evolver_model or pool.model_ids[0],
-                messages=({"role": "user", "content": prompt},),
-                temperature=1.0,
-            )
-        )
-    except ProviderError:
-        return None
-    candidate = resp.content.strip().split()[-1] if resp.content.strip() else ""
-    return candidate if candidate in pool else None
+
+    def parse(reply: str) -> Optional[str]:
+        words = reply.split()
+        return words[-1] if words and words[-1] in pool else None
+
+    return evolver.ask(prompt, parse)
 
 
 _PLACEHOLDER_CHECK = re.compile(r"\{([a-zA-Z_][a-zA-Z0-9_]*)\}")
@@ -440,51 +436,33 @@ def mutate_prompt(
     wf_pool: Optional[WorkflowExperiencePool],
     rng: np.random.Generator,
     rho: float = 0.3,
-    provider=None,
-    cfg: Optional[EvolutionConfig] = None,
-    pool: Optional[ModelPool] = None,
+    evolver: Optional[Evolver] = None,
 ) -> WorkflowGenome:
-    """Rewrite node prompts; an edit that drops any original placeholder is
-    discarded and the original prompt kept."""
-    new_nodes: dict[str, InvokingNode] = {}
-    for op in genome.operators:
-        for node in op.invoking_nodes:
-            if rng.random() >= rho:
-                continue
-            original = node.prompt
-            rewritten = None
-            if provider is not None and cfg is not None and cfg.llm_evolution:
-                rewritten = _llm_rewrite_prompt(node, genome, wf_pool, provider, cfg, pool)
-            if rewritten is None:
-                edit = PROMPT_EDITS[int(rng.integers(len(PROMPT_EDITS)))]
-                rewritten = edit(original)
-            if not _placeholders(original) <= _placeholders(rewritten):
-                continue  # guard: edit dropped a placeholder
-            if rewritten != original:
-                new_nodes[node.node_id] = replace(node, prompt=rewritten)
-    if not new_nodes:
-        return genome
-    return _rebuild_with_nodes(genome, new_nodes)
+    """Rewrite node prompts, by the evolver when it replies, else by a random
+    rule-based edit; an edit that drops any original placeholder is discarded
+    and the original prompt kept."""
+
+    def rewrite(node: InvokingNode) -> Optional[InvokingNode]:
+        rewritten = None
+        if evolver is not None:
+            rewritten = _llm_rewrite_prompt(node, genome, wf_pool, evolver)
+        if rewritten is None:
+            edit = PROMPT_EDITS[int(rng.integers(len(PROMPT_EDITS)))]
+            rewritten = edit(node.prompt)
+        if rewritten == node.prompt or not _placeholders(node.prompt) <= _placeholders(rewritten):
+            return None  # unchanged, or the edit dropped a placeholder
+        return replace(node, prompt=rewritten)
+
+    return _edit_nodes(genome, rng, rho, rewrite)
 
 
-def _llm_rewrite_prompt(node, genome, wf_pool, provider, cfg, pool) -> Optional[str]:
+def _llm_rewrite_prompt(node, genome, wf_pool, evolver: Evolver) -> Optional[str]:
     summary = (
         wf_pool.query_summary(genome.workflow_id) if wf_pool is not None else None
     )
     history = "\n".join(summary.recent_commentaries) if summary else "(none)"
     prompt = PROMPT_MUTATION_PROMPT.format(HISTORY=history, PROMPT=node.prompt)
-    model_id = (cfg.evolver_model or (pool.model_ids[0] if pool else node.model_id))
-    try:
-        resp = provider.chat(
-            ChatRequest(
-                model_id=model_id,
-                messages=({"role": "user", "content": prompt},),
-                temperature=1.0,
-            )
-        )
-    except ProviderError:
-        return None
-    return resp.content.strip() or None
+    return evolver.ask(prompt, lambda reply: reply.strip() or None)
 
 
 def mutate_operator(
@@ -708,7 +686,6 @@ class EvolveDeps:
     repo: Sequence[str] = DEFAULT_OPERATOR_REPO
     llm_pool: Optional[LlmExperiencePool] = None
     wf_pool: Optional[WorkflowExperiencePool] = None
-    tag_template: object = TAG_GENERATION_PROMPT
     tools: Optional[dict] = None
 
 
@@ -743,32 +720,22 @@ def evolve_step(
     stats, then environmentally select."""
     cfg = deps.cfg
     cfg.check()
+    evolver = make_evolver(cfg, deps.provider, deps.pool)
     ensure_tag_vectors(pop, deps.embedder)
     query_vec = deps.embedder.embed(query.text)
 
     parents = select_parents(pop.members, query_vec, cfg.parents_k)
 
     offspring = crossover(
-        parents, deps.provider, cfg, rng, deps.pool, pop.ids, query_text=query.text
+        parents, evolver, cfg, rng, deps.pool, pop.ids, query_text=query.text
     )
     offspring = mutate_llm(
         offspring, deps.llm_pool, deps.pool, rng,
-        domain=query.domain, rho=cfg.rho_llm, provider=deps.provider, cfg=cfg,
+        domain=query.domain, rho=cfg.rho_llm, evolver=evolver,
     )
-    offspring = mutate_prompt(
-        offspring, deps.wf_pool, rng, rho=cfg.rho_prompt,
-        provider=deps.provider, cfg=cfg, pool=deps.pool,
-    )
+    offspring = mutate_prompt(offspring, deps.wf_pool, rng, rho=cfg.rho_prompt, evolver=evolver)
     offspring = mutate_operator(offspring, rng, repo=deps.repo, pool=deps.pool, cfg=cfg)
-    tags = emb.generate_tags(
-        offspring,
-        deps.provider if cfg.llm_evolution else None,
-        deps.tag_template,
-        deps.pool,
-        kappa=cfg.kappa,
-        tagger_model=cfg.evolver_model,
-        retries=cfg.retries,
-    )
+    tags = emb.generate_tags(offspring, evolver, deps.pool, kappa=cfg.kappa)
     offspring = offspring.with_tags(tags)
     offspring = emb.with_tag_vectors(offspring, deps.embedder)
     offspring = replace(offspring, workflow_id=fresh_workflow_id(offspring, pop.ids))

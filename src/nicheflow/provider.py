@@ -1,5 +1,6 @@
-"""Model-call abstraction: chat-style requests, cost metering, an HTTP backend,
-and a deterministic simulated model pool for fully offline runs.
+"""Model-call abstraction: chat-style requests, cost metering, the evolver that
+the model-driven evolution routes ask, an HTTP backend, and a deterministic
+simulated model pool for fully offline runs.
 
 The simulated backend recognizes a structured task envelope embedded in the
 prompt text and answers it correctly with a per-domain probability that is a
@@ -7,15 +8,19 @@ pure function of (seed, model_id, request digest).
 """
 
 import hashlib
+import logging
 import re
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Protocol, Sequence
+from typing import Callable, Mapping, Optional, Protocol, Sequence, TypeVar
 
 from . import canonical
 from .errors import InvalidInput, ProviderError, UnknownModel
 from .genome import ModelSpec
+
+logger = logging.getLogger(__name__)
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,41 @@ class ChatResponse:
 
 class ModelProvider(Protocol):
     def chat(self, req: ChatRequest) -> ChatResponse: ...
+
+
+@dataclass(frozen=True)
+class Evolver:
+    """The model that drives evolution itself: crossover offspring, model
+    picks, prompt rewrites and tags all ask it through ``ask``."""
+
+    provider: ModelProvider
+    model_id: str
+    retries: int
+
+    def ask(
+        self, prompt: str, parse: Callable[[str], Optional[T]], retry: bool = False
+    ) -> Optional[T]:
+        """``parse`` of the first reply it maps to a value other than None.
+
+        Tries up to ``retries`` times when ``retry`` is set and once
+        otherwise. Returns None when no reply parses or the provider fails;
+        callers then fall back to their rule-based route.
+        """
+        req = ChatRequest(
+            model_id=self.model_id,
+            messages=({"role": "user", "content": prompt},),
+            temperature=1.0,
+        )
+        for _ in range(self.retries if retry else 1):
+            try:
+                resp = self.provider.chat(req)
+            except ProviderError as e:
+                logger.warning("evolver model %s failed: %s", self.model_id, e)
+                return None
+            parsed = parse(resp.content)
+            if parsed is not None:
+                return parsed
+        return None
 
 
 def call_cost(resp: ChatResponse, spec: ModelSpec) -> float:

@@ -6,12 +6,10 @@ All templates use named placeholders; the executor resolves them at call time
 and treats any leftover placeholder as an error.
 """
 
-from .embedding import TagPrompt
 from .genome import InvokingNode, OperatorNode
 from .operators import OPERATORS
 
-TAG_GENERATION_PROMPT = TagPrompt(
-    template="""You summarize agentic workflows for retrieval.
+TAG_GENERATION_PROMPT = """You summarize agentic workflows for retrieval.
 
 Workflow name: {NAME}
 Stages: {DESCRIPTION}
@@ -25,7 +23,6 @@ Reply with exactly 5 short tags, comma separated, on a single line, and
 nothing else. Tags should name the problem domains and the difficulty level
 this workflow is suited for. Avoid generic tags.
 """
-)
 
 CROSSOVER_PROMPT = """You design multi-agent workflows as JSON documents.
 

@@ -16,7 +16,7 @@ from nicheflow.embedding import (
     with_tag_vectors,
 )
 from nicheflow.errors import InvalidInput, InvalidState
-from nicheflow.templates import TAG_GENERATION_PROMPT
+from nicheflow.provider import Evolver
 
 from conftest import ScriptedProvider, build_genome, unit_vec
 
@@ -114,7 +114,7 @@ def test_parse_tag_reply_uses_last_line_and_truncates():
 
 def test_generate_tags_without_provider_is_structural(pool):
     g = build_genome(kinds=("CoT", "Debate"))
-    tags = generate_tags(g, None, TAG_GENERATION_PROMPT, pool)
+    tags = generate_tags(g, None, pool)
     assert tags == structural_tags(g, pool, 5)
     assert len(tags) == 5
 
@@ -131,7 +131,7 @@ def test_structural_tags_reflect_structure(pool):
 def test_generate_tags_from_wellformed_reply(pool):
     provider = ScriptedProvider(["alpha, beta, gamma, delta, epsilon"])
     g = build_genome()
-    tags = generate_tags(g, provider, TAG_GENERATION_PROMPT, pool)
+    tags = generate_tags(g, Evolver(provider, "big", retries=3), pool)
     assert tags == ["alpha", "beta", "gamma", "delta", "epsilon"]
     assert len(provider.requests) == 1
 
@@ -139,7 +139,7 @@ def test_generate_tags_from_wellformed_reply(pool):
 def test_generate_tags_retries_then_falls_back(pool):
     provider = ScriptedProvider(["nope", "still nope", "nah"])
     g = build_genome()
-    tags = generate_tags(g, provider, TAG_GENERATION_PROMPT, pool, retries=3)
+    tags = generate_tags(g, Evolver(provider, "big", retries=3), pool)
     assert tags == structural_tags(g, pool, 5)
     assert len(provider.requests) == 3
 
@@ -147,7 +147,7 @@ def test_generate_tags_retries_then_falls_back(pool):
 def test_generate_tags_falls_back_on_transport_failure(pool):
     provider = ScriptedProvider(["x"], fail_after=0)
     g = build_genome()
-    tags = generate_tags(g, provider, TAG_GENERATION_PROMPT, pool)
+    tags = generate_tags(g, Evolver(provider, "big", retries=3), pool)
     assert tags == structural_tags(g, pool, 5)
 
 
@@ -159,6 +159,6 @@ def test_generate_tags_always_returns_kappa(reply):
 
     pool = ModelPool(MODEL_SPECS)
     g = build_genome()
-    tags = generate_tags(g, ScriptedProvider([reply]), TAG_GENERATION_PROMPT, pool)
+    tags = generate_tags(g, Evolver(ScriptedProvider([reply]), "big", retries=3), pool)
     assert len(tags) == 5
     assert all(t.strip() for t in tags)

@@ -36,7 +36,7 @@ from nicheflow.evolution import (
 from nicheflow.executor import TaskQuery
 from nicheflow.genome import RunStats, content_hash, serialize, validate
 from nicheflow.memory import LlmExperiencePool, LlmExperienceRecord
-from nicheflow.provider import make_task_envelope
+from nicheflow.provider import Evolver, make_task_envelope, parse_task_envelope
 from nicheflow.templates import DEFAULT_OPERATOR_REPO
 
 from conftest import ScriptedProvider, build_genome, unit_vec
@@ -259,8 +259,8 @@ def test_llm_crossover_uses_a_valid_reply(pool):
     p2 = build_genome(kinds=("StepBack",))
     proposal = build_genome(kinds=("Ensemble", "CoT"))
     provider = ScriptedProvider(["Here you go:\n" + serialize(proposal)])
-    cfg = EvolutionConfig(llm_evolution=True)
-    child = crossover([p1, p2], provider, cfg, np.random.default_rng(0), pool)
+    evolver = Evolver(provider, "big", retries=3)
+    child = crossover([p1, p2], evolver, EvolutionConfig(), np.random.default_rng(0), pool)
     assert [op.kind for op in child.operators] == ["Ensemble", "CoT"]
     assert child.lineage["mode"] == "llm"
 
@@ -269,8 +269,8 @@ def test_llm_crossover_falls_back_after_malformed_replies(pool):
     p1 = build_genome(kinds=("CoT",))
     p2 = build_genome(kinds=("StepBack",))
     provider = ScriptedProvider(["not json", "still { not json", "nope"])
-    cfg = EvolutionConfig(llm_evolution=True, retries=3)
-    child = crossover([p1, p2], provider, cfg, np.random.default_rng(0), pool)
+    evolver = Evolver(provider, "big", retries=3)
+    child = crossover([p1, p2], evolver, EvolutionConfig(), np.random.default_rng(0), pool)
     assert child.lineage["mode"] == "fallback"
     assert len(provider.requests) == 3
 
@@ -316,6 +316,30 @@ def test_mutate_llm_only_touches_model_ids(pool):
     assert validate(out.with_tags([f"t{i}" for i in range(5)]), pool) == []
 
 
+def test_mutate_llm_takes_the_evolvers_pick(pool):
+    g = build_genome(kinds=("Debate", "Ensemble", "CoT"), model="tiny")
+    provider = ScriptedProvider(["I would use mid"])
+    out = mutate_llm(g, None, pool, np.random.default_rng(3), rho=0.5,
+                     evolver=Evolver(provider, "big", retries=3))
+    models = [n.model_id for op in out.operators for n in op.invoking_nodes]
+    assert set(models) == {"tiny", "mid"}
+    # one request, never retried, per picked node; every picked node swaps
+    assert len(provider.requests) == models.count("mid")
+    assert {r.model_id for r in provider.requests} == {"big"}
+
+
+def test_mutate_llm_falls_back_when_the_evolver_names_no_pool_model(pool):
+    g = build_genome(kinds=("Debate", "Ensemble", "CoT"), model="tiny")
+    provider = ScriptedProvider(["Understood. Proceeding with the given instructions."])
+    with_evolver = mutate_llm(g, None, pool, np.random.default_rng(3), rho=0.5,
+                              evolver=Evolver(provider, "big", retries=3))
+    without = mutate_llm(g, None, pool, np.random.default_rng(3), rho=0.5)
+    assert serialize(with_evolver) == serialize(without) != serialize(g)
+    # the fallback swaps every picked node, and each was asked about once
+    swapped = [n.model_id != "tiny" for op in without.operators for n in op.invoking_nodes]
+    assert len(provider.requests) == sum(swapped)
+
+
 def test_mutate_prompt_noop_at_rho_zero():
     g = build_genome(kinds=("CoT",))
     assert mutate_prompt(g, None, np.random.default_rng(0), rho=0.0) is g
@@ -338,19 +362,15 @@ def test_mutate_prompt_preserves_placeholders(pool):
 
 def test_mutate_prompt_discards_llm_edit_that_drops_placeholder(pool):
     g = build_genome(kinds=("CoT",))
-    provider = ScriptedProvider(["a rewrite with no placeholders at all"])
-    cfg = EvolutionConfig(llm_evolution=True)
-    out = mutate_prompt(g, None, np.random.default_rng(0), rho=1.0,
-                        provider=provider, cfg=cfg, pool=pool)
+    evolver = Evolver(ScriptedProvider(["a rewrite with no placeholders at all"]), "big", 3)
+    out = mutate_prompt(g, None, np.random.default_rng(0), rho=1.0, evolver=evolver)
     assert out.operators[0].invoking_nodes[0].prompt == g.operators[0].invoking_nodes[0].prompt
 
 
 def test_mutate_prompt_accepts_llm_edit_that_keeps_placeholders(pool):
     g = build_genome(kinds=("CoT",))
-    provider = ScriptedProvider(["Improved: {task} {context} -- answer carefully."])
-    cfg = EvolutionConfig(llm_evolution=True)
-    out = mutate_prompt(g, None, np.random.default_rng(0), rho=1.0,
-                        provider=provider, cfg=cfg, pool=pool)
+    evolver = Evolver(ScriptedProvider(["Improved: {task} {context} -- answer carefully."]), "big", 3)
+    out = mutate_prompt(g, None, np.random.default_rng(0), rho=1.0, evolver=evolver)
     assert out.operators[0].invoking_nodes[0].prompt.startswith("Improved:")
 
 
@@ -762,6 +782,35 @@ def test_evolve_step_is_deterministic(pool, embedder):
                                       np.random.default_rng([5, 1000 + step]))
         results.append((sorted(serialize(m) for m in pop.members), report.to_doc()))
     assert results[0] == results[1]
+
+
+class _RecordingProvider:
+    def __init__(self, inner):
+        self.inner = inner
+        self.requests = []
+
+    def chat(self, req):
+        self.requests.append(req)
+        return self.inner.chat(req)
+
+
+@pytest.mark.parametrize("llm_evolution", [True, False])
+def test_evolve_step_asks_the_configured_evolver_only_when_enabled(
+    pool, sim_provider, embedder, llm_evolution
+):
+    provider = _RecordingProvider(sim_provider)
+    deps = _make_deps(pool, provider, embedder,
+                      llm_evolution=llm_evolution, evolver_model="tiny")
+    pop = init_population(deps.cfg, DEFAULT_OPERATOR_REPO, pool, embedder,
+                          np.random.default_rng([25, 0]))
+    for step in range(3):
+        provider.requests.clear()
+        pop, _ = evolve_step(pop, _task(step), deps, np.random.default_rng([25, 1000 + step]))
+        evolver_models = {
+            r.model_id for r in provider.requests
+            if parse_task_envelope(r.messages[0]["content"]) is None
+        }
+        assert evolver_models == ({"tiny"} if llm_evolution else set())
 
 
 def test_evolve_step_updates_executed_stats(pool, sim_provider, embedder):

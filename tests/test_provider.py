@@ -8,6 +8,7 @@ from nicheflow.genome import ModelSpec
 from nicheflow.provider import (
     ChatRequest,
     ChatResponse,
+    Evolver,
     HttpProvider,
     SimModelProfile,
     SimulatedProvider,
@@ -18,7 +19,7 @@ from nicheflow.provider import (
     strip_task_envelope,
 )
 
-from conftest import SIM_PROFILES
+from conftest import SIM_PROFILES, ScriptedProvider
 
 
 def _req(text, model="tiny", temperature=1.0):
@@ -228,3 +229,33 @@ def test_http_provider_recovers_mid_retry():
     session = _FakeSession([_FakeResponse({}, fail=True), _FakeResponse(_OK_PAYLOAD)])
     provider = HttpProvider("http://svc/chat", session=session, sleep=lambda s: None)
     assert provider.chat(_req("x")).content == "the answer"
+
+
+# --- evolver -----------------------------------------------------------------
+
+def test_evolver_tries_once_unless_asked_to_retry():
+    provider = ScriptedProvider(["bad"])
+    evolver = Evolver(provider, "big", retries=3)
+    assert evolver.ask("p", lambda reply: None) is None
+    assert len(provider.requests) == 1
+    assert evolver.ask("p", lambda reply: None, retry=True) is None
+    assert len(provider.requests) == 4
+
+
+def test_evolver_returns_the_first_parsed_reply():
+    provider = ScriptedProvider(["bad", "good", "later"])
+    evolver = Evolver(provider, "big", retries=3)
+    assert evolver.ask("p", lambda reply: reply if reply == "good" else None, retry=True) == "good"
+    assert [r.model_id for r in provider.requests] == ["big", "big"]
+    assert provider.requests[0].temperature == 1.0
+    assert provider.requests[0].messages == ({"role": "user", "content": "p"},)
+
+
+def test_evolver_logs_a_swallowed_provider_failure(caplog):
+    evolver = Evolver(ScriptedProvider(["x"], fail_after=0), "big", retries=3)
+    with caplog.at_level("WARNING", logger="nicheflow.provider"):
+        assert evolver.ask("p", str, retry=True) is None
+    [record] = caplog.records
+    assert record.levelname == "WARNING"
+    assert "big" in record.getMessage()
+    assert "scripted transport failure" in record.getMessage()
