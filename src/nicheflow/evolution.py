@@ -83,10 +83,14 @@ def make_evolver(cfg: EvolutionConfig, provider, pool: ModelPool) -> Optional[Ev
     """The model that crossover, model pick, prompt rewrite and tagging ask,
     or None when ``llm_evolution`` is off or there is no provider, in which
     case every route takes its rule-based path. ``evolver_model`` defaults to
-    the pool's alphabetically first model id."""
+    the pool's alphabetically first model id; one that names no pool model is
+    a ``ConfigError``."""
     if not cfg.llm_evolution or provider is None:
         return None
-    return Evolver(provider, cfg.evolver_model or pool.model_ids[0], cfg.retries)
+    model_id = cfg.evolver_model or pool.model_ids[0]
+    if model_id not in pool:
+        raise ConfigError(f"evolver_model {model_id!r} names no pool model")
+    return Evolver(provider, model_id, cfg.retries)
 
 
 @dataclass

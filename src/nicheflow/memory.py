@@ -1,20 +1,20 @@
 """Experience pools: append-only per-model and per-workflow outcome logs with
 summary views that feed the mutation operators.
 
-Records live one-per-line in canonical form; a truncated final line (crash
-mid-write) is skipped with a warning on reload.
+Both pools are one class, ``_ExperiencePool``, keyed by a different record
+field (``model_id`` or ``workflow_id``). A record is one canonical line
+holding its fields (``canonical.append_line``). On load each line is folded
+straight into the per-key and per-(key, domain) summaries; no pool keeps its
+records. A torn final line (crash mid-append) is skipped with a warning and
+cut from the file (``canonical.read_lines``).
 """
 
-import logging
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional
 
 from . import canonical
-from .errors import InvalidInput, StorageError
-
-logger = logging.getLogger(__name__)
+from .errors import InvalidInput
 
 VERDICTS = ("Positive", "Negative", "None")
 DEFAULT_SUCCESS_THRESHOLD = 1.0
@@ -28,7 +28,6 @@ class LlmExperienceRecord:
     verdict: str  # Positive | Negative | None ("None" = model made no calls)
     commentary: str
     domain: str
-    timestamp: float = field(default_factory=time.time)
 
     def __post_init__(self):
         if self.verdict not in VERDICTS:
@@ -44,7 +43,6 @@ class WorkflowExperienceRecord:
     perf: float
     cost: float
     domain: str = "general"
-    timestamp: float = field(default_factory=time.time)
 
     def __post_init__(self):
         if self.verdict not in ("Positive", "Negative"):
@@ -73,139 +71,56 @@ def default_commentary(model_id: str, verdict: str, domain: str, kinds: Iterable
     return f"model {model_id} {outcome} on domain {domain} via operator kinds {sorted(set(kinds))}"
 
 
-class _JsonlLog:
-    """Append-only line log, optionally file-backed."""
+class _ExperiencePool:
+    """Verdict counts plus the last 10 commentaries per ``(key, None)`` and
+    ``(key, domain)``, where the key is the record field ``key_field``;
+    file-backed when given a path."""
+
+    key_field: str
 
     def __init__(self, path: Optional[Path] = None):
         self.path = Path(path) if path is not None else None
-        self._records: list[dict] = []
-        if self.path is not None and self.path.exists():
-            self._records = list(self._load())
-
-    def _load(self):
-        lines = self.path.read_text(encoding="utf-8").split("\n")
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                yield canonical.loads(line)
-            except ValueError:
-                if i == len(lines) - 1 or (i == len(lines) - 2 and not lines[-1]):
-                    logger.warning("skipping truncated final record in %s", self.path)
-                else:
-                    raise StorageError(f"corrupt record at {self.path}:{i + 1}")
-
-    def append(self, doc: dict) -> None:
+        self._summaries: dict[tuple, ExperienceSummary] = {}
         if self.path is not None:
-            try:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                with self.path.open("a", encoding="utf-8") as fh:
-                    fh.write(canonical.dumps(doc) + "\n")
-                    fh.flush()
-            except OSError as e:
-                raise StorageError(f"cannot append to {self.path}: {e}") from e
-        self._records.append(doc)
+            for doc in canonical.read_lines(self.path):
+                self._fold(doc)
 
-    @property
-    def records(self) -> list[dict]:
-        return self._records
-
-
-class _SummaryIndex:
-    """Incremental per-key verdict counts plus the last 10 commentaries."""
-
-    def __init__(self):
-        self._data: dict[tuple, ExperienceSummary] = {}
-
-    def add(self, keys: Iterable[tuple], verdict: str, commentary: str) -> None:
-        for key in keys:
-            summary = self._data.setdefault(key, ExperienceSummary())
-            if verdict == "Positive":
+    def _fold(self, doc: dict) -> None:
+        key = doc[self.key_field]
+        for summary_key in ((key, None), (key, doc["domain"])):
+            summary = self._summaries.setdefault(summary_key, ExperienceSummary())
+            if doc["verdict"] == "Positive":
                 summary.positive_count += 1
-            elif verdict == "Negative":
+            elif doc["verdict"] == "Negative":
                 summary.negative_count += 1
             else:
                 summary.none_count += 1
-            summary.recent_commentaries.append(commentary)
+            summary.recent_commentaries.append(doc["commentary"])
             del summary.recent_commentaries[:-10]
 
-    def get(self, key: tuple) -> ExperienceSummary:
-        hit = self._data.get(key)
+    def append(self, record: LlmExperienceRecord | WorkflowExperienceRecord) -> None:
+        doc = vars(record)
+        if self.path is not None:
+            canonical.append_line(self.path, doc)
+        self._fold(doc)
+
+    def query_summary(self, key: str, domain: Optional[str] = None) -> ExperienceSummary:
+        hit = self._summaries.get((key, domain))
         if hit is None:
             return ExperienceSummary()
-        return ExperienceSummary(
-            positive_count=hit.positive_count,
-            negative_count=hit.negative_count,
-            none_count=hit.none_count,
-            recent_commentaries=list(hit.recent_commentaries),
-        )
+        return replace(hit, recent_commentaries=list(hit.recent_commentaries))
 
 
-class LlmExperiencePool:
+# Siblings, not parent and child: the traced benchmark wraps each class's
+# ``__init__`` and ``append``, and a subclass of a wrapped class would run
+# both wrappers.
+class LlmExperiencePool(_ExperiencePool):
     """Per-model outcome pool (default file: memory/llm_pool.log)."""
 
-    def __init__(self, path: Optional[Path] = None):
-        self._log = _JsonlLog(path)
-        self._index = _SummaryIndex()
-        for doc in self._log.records:
-            self._index_doc(doc)
-
-    def _index_doc(self, doc: dict) -> None:
-        self._index.add(
-            [(doc["model_id"], None), (doc["model_id"], doc["domain"])],
-            doc["verdict"],
-            doc["commentary"],
-        )
-
-    def append(self, record: LlmExperienceRecord) -> None:
-        doc = {
-            "model_id": record.model_id,
-            "workflow_id": record.workflow_id,
-            "query_id": record.query_id,
-            "verdict": record.verdict,
-            "commentary": record.commentary,
-            "domain": record.domain,
-            "timestamp": record.timestamp,
-        }
-        self._log.append(doc)
-        self._index_doc(doc)
-
-    def query_summary(self, model_id: str, domain: Optional[str] = None) -> ExperienceSummary:
-        return self._index.get((model_id, domain))
+    key_field = "model_id"
 
 
-class WorkflowExperiencePool:
+class WorkflowExperiencePool(_ExperiencePool):
     """Per-workflow outcome pool (default file: memory/wf_pool.log)."""
 
-    def __init__(self, path: Optional[Path] = None):
-        self._log = _JsonlLog(path)
-        self._index = _SummaryIndex()
-        for doc in self._log.records:
-            self._index_doc(doc)
-
-    def _index_doc(self, doc: dict) -> None:
-        self._index.add(
-            [
-                (doc["workflow_id"], None),
-                (doc["workflow_id"], doc.get("domain", "general")),
-            ],
-            doc["verdict"],
-            doc["commentary"],
-        )
-
-    def append(self, record: WorkflowExperienceRecord) -> None:
-        doc = {
-            "workflow_id": record.workflow_id,
-            "query_id": record.query_id,
-            "verdict": record.verdict,
-            "commentary": record.commentary,
-            "perf": record.perf,
-            "cost": record.cost,
-            "domain": record.domain,
-            "timestamp": record.timestamp,
-        }
-        self._log.append(doc)
-        self._index_doc(doc)
-
-    def query_summary(self, workflow_id: str, domain: Optional[str] = None) -> ExperienceSummary:
-        return self._index.get((workflow_id, domain))
+    key_field = "workflow_id"

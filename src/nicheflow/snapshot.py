@@ -50,14 +50,17 @@ def load_population(run_dir) -> tuple[Population, str]:
             deserialize((target / f"{wid}.json").read_text(encoding="utf-8"))
             for wid in manifest["members"]
         ]
+        pop = Population(
+            members=members,
+            generation=int(manifest["generation"]),
+            seed=int(manifest["seed"]),
+        )
+        config_hash = str(manifest.get("config_hash", ""))
     except OSError as e:
         raise StorageError(f"cannot load snapshot under {run_dir}: {e}") from e
-    pop = Population(
-        members=members,
-        generation=int(manifest["generation"]),
-        seed=int(manifest["seed"]),
-    )
-    return pop, str(manifest.get("config_hash", ""))
+    except (ValueError, KeyError, TypeError) as e:
+        raise StorageError(f"corrupt snapshot under {run_dir}: {e!r}") from e
+    return pop, config_hash
 
 
 class RunLock:
@@ -85,10 +88,4 @@ class RunLock:
 
 
 def append_step_report(run_dir, report_doc: dict) -> None:
-    path = Path(run_dir) / "steps.jsonl"
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write(canonical.dumps(report_doc) + "\n")
-    except OSError as e:
-        raise StorageError(f"cannot append step report: {e}") from e
+    canonical.append_line(Path(run_dir) / "steps.jsonl", report_doc)

@@ -142,6 +142,14 @@ def test_load_population_missing_dir_is_storage_error(tmp_path):
         load_population(tmp_path / "void")
 
 
+@pytest.mark.parametrize("text", ['{"generation": 3, "mem', "{}", "[]"])
+def test_load_population_corrupt_manifest_is_storage_error(tmp_path, text):
+    (tmp_path / "population").mkdir()
+    (tmp_path / "population" / "manifest.json").write_text(text)
+    with pytest.raises(StorageError, match="corrupt snapshot"):
+        load_population(tmp_path)
+
+
 def test_run_lock_excludes_second_writer(tmp_path):
     with RunLock(tmp_path):
         with pytest.raises(StorageError):
@@ -256,6 +264,15 @@ def test_cli_exit_code_for_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_exit_code_for_an_evolver_model_outside_the_pool(tmp_path, capsys):
+    doc = _config_doc(tmp_path / "run")
+    doc["hyperparameters"].update(llm_evolution=True, evolver_model="nope")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "init"]) == 2
+    assert "evolver_model 'nope'" in capsys.readouterr().err
+
+
 def test_cli_exit_code_for_locked_run_dir(tmp_path, capsys):
     path, run_dir = _write_config(tmp_path)
     run_dir.mkdir(parents=True)
@@ -267,3 +284,14 @@ def test_cli_exit_code_for_locked_run_dir(tmp_path, capsys):
 def test_cli_exit_code_for_missing_snapshot(tmp_path):
     path, _ = _write_config(tmp_path)
     assert main(["--config", str(path), "evolve", "--steps", "1"]) == 4
+
+
+@pytest.mark.parametrize("command", [["front"], ["infer", "--query", "Compute 2 + 2."],
+                                     ["evolve", "--steps", "1"]])
+def test_cli_exit_code_for_corrupt_manifest(tmp_path, capsys, command):
+    path, run_dir = _write_config(tmp_path)
+    assert main(["--config", str(path), "init"]) == 0
+    manifest = run_dir / "population" / "manifest.json"
+    manifest.write_text(manifest.read_text()[:20])
+    assert main(["--config", str(path)] + command) == 4
+    assert "storage error" in capsys.readouterr().err

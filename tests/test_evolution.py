@@ -25,6 +25,7 @@ from nicheflow.evolution import (
     fitness,
     infer,
     init_population,
+    make_evolver,
     mutate_llm,
     mutate_operator,
     mutate_prompt,
@@ -811,6 +812,16 @@ def test_evolve_step_asks_the_configured_evolver_only_when_enabled(
             if parse_task_envelope(r.messages[0]["content"]) is None
         }
         assert evolver_models == ({"tiny"} if llm_evolution else set())
+
+
+def test_make_evolver_rejects_an_evolver_model_outside_the_pool(pool, sim_provider):
+    cfg = EvolutionConfig(llm_evolution=True, evolver_model="nope")
+    with pytest.raises(ConfigError, match="nope"):
+        make_evolver(cfg, sim_provider, pool)
+    # the gate is read first: with llm_evolution off the field is never used
+    assert make_evolver(dataclasses.replace(cfg, llm_evolution=False), sim_provider, pool) is None
+    assert make_evolver(dataclasses.replace(cfg, evolver_model="tiny"),
+                        sim_provider, pool).model_id == "tiny"
 
 
 def test_evolve_step_updates_executed_stats(pool, sim_provider, embedder):

@@ -3,7 +3,8 @@
 Criterion 5 compares two runs made by the same code, so it cannot notice a
 change that moves every run the same way. These digests pin the bytes
 themselves; a refactor that claims to keep behaviour must keep them. The
-memory logs are left out because their records carry wall-clock time.
+experience logs of the CLI run are pinned too: their records carry no
+wall-clock time, so they are as reproducible as the snapshot.
 """
 
 import hashlib
@@ -26,6 +27,7 @@ from test_acceptance import _cli_config_doc
 
 CLI_RUN_SHA256 = "c0c2aa2a3e0ae7806bc525951647d2b4f1e481de22cd0d4b4b3ad35bb428316d"
 LLM_RUN_SHA256 = "68cabca2f61f69c8256a424212db9b1abf84a40da743f9b234cea5a64fd31acc"
+MEMORY_LOGS_SHA256 = "45851870ff08343e52e8d7cc5ed07a271f1f3af31e2d2dfcc792c4ef7cbd5cb0"
 
 
 def _digest(named_chunks) -> str:
@@ -44,6 +46,8 @@ def test_cli_run_bytes_are_pinned(tmp_path):
     assert main(["--config", str(config), "evolve", "--steps", "50"]) == 0
     files = sorted((run_dir / "population").iterdir()) + [run_dir / "steps.jsonl"]
     assert _digest((p.name, p.read_bytes()) for p in files) == CLI_RUN_SHA256
+    logs = [run_dir / "memory" / "llm_pool.log", run_dir / "memory" / "wf_pool.log"]
+    assert _digest((p.name, p.read_bytes()) for p in logs) == MEMORY_LOGS_SHA256
 
 
 def test_llm_route_run_is_pinned():

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -125,6 +128,52 @@ def test_truncated_final_line_is_skipped(tmp_path, caplog):
     s = reloaded.query_summary("m1", "easy")
     assert (s.positive_count, s.negative_count) == (1, 1)
     assert any("truncated" in r.message for r in caplog.records)
+
+
+def _counts(path):
+    s = LlmExperiencePool(path).query_summary("m1", "easy")
+    return s.positive_count, s.negative_count
+
+
+def test_torn_tail_is_cut_so_later_appends_survive(tmp_path):
+    path = tmp_path / "llm_pool.log"
+    pool = LlmExperiencePool(path)
+    pool.append(_llm_rec(verdict="Positive"))
+    pool.append(_llm_rec(verdict="Negative", i=1))
+    with path.open("a") as fh:
+        fh.write('{"model_id": "m1", "dom')  # crash mid-append
+    resumed = LlmExperiencePool(path)
+    assert _counts(path) == (1, 1)
+    resumed.append(_llm_rec(verdict="Positive", i=2))
+    resumed = LlmExperiencePool(path)
+    assert _counts(path) == (2, 1)
+    resumed.append(_llm_rec(verdict="Negative", i=3))
+    assert _counts(path) == (2, 2)
+    assert len(path.read_text().splitlines()) == 4
+
+
+def test_final_record_without_its_newline_is_kept(tmp_path):
+    path = tmp_path / "llm_pool.log"
+    LlmExperiencePool(path).append(_llm_rec(verdict="Positive"))
+    path.write_text(path.read_text().rstrip("\n"))  # crash before the newline
+    resumed = LlmExperiencePool(path)
+    resumed.append(_llm_rec(verdict="Negative", i=1))
+    assert _counts(path) == (1, 1)
+    assert path.read_text().endswith("\n")
+
+
+def test_log_line_holds_the_record_fields_and_old_timestamps_still_load(tmp_path):
+    path = tmp_path / "wf_pool.log"
+    record = WorkflowExperienceRecord("wf", "q0", "Positive", "c", 1.0, 0.25, domain="easy")
+    WorkflowExperiencePool(path).append(record)
+    assert json.loads(path.read_text()) == dataclasses.asdict(record)
+    with path.open("a") as fh:  # a line as older versions wrote it
+        fh.write('{"commentary":"old","cost":0.5,"domain":"easy","perf":0.0,'
+                 '"query_id":"q1","timestamp":1760000000.5,"verdict":"Negative",'
+                 '"workflow_id":"wf"}\n')
+    s = WorkflowExperiencePool(path).query_summary("wf", "easy")
+    assert (s.positive_count, s.negative_count) == (1, 1)
+    assert s.recent_commentaries == ["c", "old"]
 
 
 def test_mid_file_corruption_is_an_error(tmp_path):
