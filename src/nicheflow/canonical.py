@@ -4,13 +4,13 @@ All on-disk artifacts (genomes, configs, step logs, manifests, experience
 logs) go through ``dumps`` so that structurally equal objects always produce
 identical bytes: keys sorted, compact separators, floats rounded to 12
 significant digits. The append-only logs hold one such document per line,
-written by ``append_line`` and read back by ``read_lines``.
+written by ``write_line`` to a log ``open_log`` opened, read by ``read_lines``.
 """
 
 import json
 import logging
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterator, TextIO
 
 from .errors import StorageError
 
@@ -41,14 +41,22 @@ def loads(text: str) -> Any:
     return json.loads(text)
 
 
-def append_line(path: Path, doc: Any) -> None:
-    """Append ``doc`` as one canonical line, creating the file's directory."""
+def open_log(path: Path) -> TextIO:
+    """Open a line log for appending, creating the file's directory."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write(dumps(doc) + "\n")
+        return path.open("a", encoding="utf-8")
     except OSError as e:
         raise StorageError(f"cannot append to {path}: {e}") from e
+
+
+def write_line(log: TextIO, doc: Any) -> None:
+    """Write ``doc`` as one canonical line and flush it to the OS."""
+    try:
+        log.write(dumps(doc) + "\n")
+        log.flush()
+    except OSError as e:
+        raise StorageError(f"cannot append to {log.name}: {e}") from e
 
 
 def read_lines(path: Path) -> Iterator[Any]:

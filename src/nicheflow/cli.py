@@ -8,6 +8,7 @@ bench --suite PATH. Exit codes: 0 success, 2 config error, 3 provider error,
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from .errors import ConfigError, NicheflowError, ProviderError, StorageError
 from .evolution import EvolveDeps, Population, evolve_step, infer, init_population
 from .executor import TaskQuery, evaluate
 from .memory import LlmExperiencePool, WorkflowExperiencePool
-from .snapshot import RunLock, append_step_report, load_population, save_population
+from .snapshot import RunLock, append_step_report, load_population, repair_step_log, save_population
 from .templates import DEFAULT_OPERATOR_REPO
 
 
@@ -28,8 +29,10 @@ def _step_rng(seed: int, step: int) -> np.random.Generator:
     return np.random.default_rng([seed, 1000 + step])
 
 
-def _build_deps(cfg: RunConfig) -> EvolveDeps:
-    return EvolveDeps(
+@contextmanager
+def _evolve_deps(cfg: RunConfig):
+    """The dependencies of init and evolve; both experience logs are closed on exit."""
+    deps = EvolveDeps(
         cfg=cfg.evolution,
         pool=cfg.model_pool(),
         provider=cfg.make_provider(),
@@ -37,6 +40,11 @@ def _build_deps(cfg: RunConfig) -> EvolveDeps:
         llm_pool=LlmExperiencePool(cfg.run_dir / "memory" / "llm_pool.log"),
         wf_pool=WorkflowExperiencePool(cfg.run_dir / "memory" / "wf_pool.log"),
     )
+    try:
+        yield deps
+    finally:
+        deps.llm_pool.close()
+        deps.wf_pool.close()
 
 
 def _task_stream(cfg: RunConfig):
@@ -45,8 +53,7 @@ def _task_stream(cfg: RunConfig):
 
 
 def cmd_init(cfg: RunConfig) -> Population:
-    with RunLock(cfg.run_dir):
-        deps = _build_deps(cfg)
+    with RunLock(cfg.run_dir), _evolve_deps(cfg) as deps:
         rng = np.random.default_rng([cfg.seed, 0])
         pop = init_population(
             cfg.evolution,
@@ -68,15 +75,16 @@ def cmd_evolve(cfg: RunConfig, steps: int) -> Population:
             raise ConfigError(
                 f"snapshot was created with config {saved_hash}, current is {cfg.config_hash}"
             )
-        deps = _build_deps(cfg)
+        repair_step_log(cfg.run_dir)
         tasks = _task_stream(cfg)
         start = pop.generation
-        for step in range(start, start + steps):
-            query = tasks[step % len(tasks)]
-            pop, report = evolve_step(pop, query, deps, _step_rng(cfg.seed, step))
-            append_step_report(cfg.run_dir, report.to_doc())
-            if (step + 1 - start) % cfg.checkpoint_interval == 0:
-                save_population(pop, cfg.run_dir, cfg.config_hash)
+        with _evolve_deps(cfg) as deps:
+            for step in range(start, start + steps):
+                query = tasks[step % len(tasks)]
+                pop, report = evolve_step(pop, query, deps, _step_rng(cfg.seed, step))
+                append_step_report(cfg.run_dir, report.to_doc())
+                if (step + 1 - start) % cfg.checkpoint_interval == 0:
+                    save_population(pop, cfg.run_dir, cfg.config_hash)
         save_population(pop, cfg.run_dir, cfg.config_hash)
     return pop
 

@@ -1,14 +1,11 @@
 """Workflow execution: topological scheduling of operator nodes over a model
-provider, call metering, answer scoring, and trace export. Each operator's
-own semantics come from the operator registry.
+provider, call metering, and answer scoring. A trace keeps the answer and the
+cost of each call; each operator's own semantics come from the operator registry.
 """
 
-import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Mapping, Optional
 
-from . import canonical
 from .errors import BudgetExceeded, InvalidInput, StructureError
 from .genome import ModelPool, WorkflowGenome
 from .operators import extract_number, parse_number, run_operator, topological_order
@@ -33,8 +30,6 @@ class TaskQuery:
 
 @dataclass(frozen=True)
 class CallRecord:
-    request_digest: str
-    response_digest: str
     cost: float
 
 
@@ -50,7 +45,6 @@ class ExecutionTrace:
     records: tuple[OperatorRecord, ...]
     total_cost: float
     answer: str
-    wall_time: float
 
     @property
     def call_count(self) -> int:
@@ -84,7 +78,7 @@ class _Caller:
         resp: ChatResponse = self.provider.chat(req)
         cost = call_cost(resp, self.pool.get(node.model_id))
         self.total_cost += cost
-        self.records.append(CallRecord(req.digest(), resp.digest(), cost))
+        self.records.append(CallRecord(cost))
         return resp.content
 
     def take_records(self) -> tuple[CallRecord, ...]:
@@ -104,7 +98,6 @@ def execute(
     """Run every operator once in a topological order, threading each
     operator's output to its inter-edge successors; the single sink's output
     is the answer."""
-    start = time.perf_counter()
     order = topological_order(genome.op_ids, genome.inter_edges)
     if order is None:
         raise StructureError(f"genome {genome.workflow_id!r} has cyclic inter edges")
@@ -123,12 +116,7 @@ def execute(
         records.append(OperatorRecord(op_id=oid, kind=op.kind, calls=caller.take_records()))
     answer = outputs[order[-1]]
     total_cost = sum(c.cost for r in records for c in r.calls)
-    return ExecutionTrace(
-        records=tuple(records),
-        total_cost=total_cost,
-        answer=answer,
-        wall_time=time.perf_counter() - start,
-    )
+    return ExecutionTrace(records=tuple(records), total_cost=total_cost, answer=answer)
 
 
 # --- answer scoring ----------------------------------------------------------
@@ -158,31 +146,3 @@ def evaluate(answer: str, query: TaskQuery) -> float:
         return 1.0 if abs(got - gold) <= tol else 0.0
     raise InvalidInput(f"unknown metric {query.metric!r}")
 
-
-def export_trace(trace: ExecutionTrace, run_dir, query_id: str, workflow_id: str) -> Path:
-    """Write one trace document under run_dir/traces/{query_id}/{workflow_id}."""
-    out_dir = Path(run_dir) / "traces" / query_id
-    out_dir.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "answer": trace.answer,
-        "total_cost": trace.total_cost,
-        "wall_time": trace.wall_time,
-        "records": [
-            {
-                "op_id": r.op_id,
-                "kind": r.kind,
-                "calls": [
-                    {
-                        "request_digest": c.request_digest,
-                        "response_digest": c.response_digest,
-                        "cost": c.cost,
-                    }
-                    for c in r.calls
-                ],
-            }
-            for r in trace.records
-        ],
-    }
-    path = out_dir / f"{workflow_id}.json"
-    path.write_text(canonical.dumps(doc), encoding="utf-8")
-    return path

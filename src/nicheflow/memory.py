@@ -3,7 +3,8 @@ summary views that feed the mutation operators.
 
 Both pools are one class, ``_ExperiencePool``, keyed by a different record
 field (``model_id`` or ``workflow_id``). A record is one canonical line
-holding its fields (``canonical.append_line``). On load each line is folded
+holding its fields. A file-backed pool opens its log at the first append and
+holds it until ``close``, flushing each line. On load each line is folded
 straight into the per-key and per-(key, domain) summaries; no pool keeps its
 records. A torn final line (crash mid-append) is skipped with a warning and
 cut from the file (``canonical.read_lines``).
@@ -11,7 +12,7 @@ cut from the file (``canonical.read_lines``).
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Optional, TextIO
 
 from . import canonical
 from .errors import InvalidInput
@@ -81,6 +82,7 @@ class _ExperiencePool:
     def __init__(self, path: Optional[Path] = None):
         self.path = Path(path) if path is not None else None
         self._summaries: dict[tuple, ExperienceSummary] = {}
+        self._log: Optional[TextIO] = None
         if self.path is not None:
             for doc in canonical.read_lines(self.path):
                 self._fold(doc)
@@ -101,8 +103,16 @@ class _ExperiencePool:
     def append(self, record: LlmExperienceRecord | WorkflowExperienceRecord) -> None:
         doc = vars(record)
         if self.path is not None:
-            canonical.append_line(self.path, doc)
+            if self._log is None:
+                self._log = canonical.open_log(self.path)
+            canonical.write_line(self._log, doc)
         self._fold(doc)
+
+    def close(self) -> None:
+        """Close the log; a later append opens it again."""
+        if self._log is not None:
+            self._log.close()
+            self._log = None
 
     def query_summary(self, key: str, domain: Optional[str] = None) -> ExperienceSummary:
         hit = self._summaries.get((key, domain))

@@ -87,5 +87,12 @@ class RunLock:
         return False
 
 
+def repair_step_log(run_dir) -> None:
+    """Cut a report torn by a crash mid-append (``canonical.read_lines``)."""
+    for _ in canonical.read_lines(Path(run_dir) / "steps.jsonl"):
+        pass
+
+
 def append_step_report(run_dir, report_doc: dict) -> None:
-    canonical.append_line(Path(run_dir) / "steps.jsonl", report_doc)
+    with canonical.open_log(Path(run_dir) / "steps.jsonl") as log:
+        canonical.write_line(log, report_doc)

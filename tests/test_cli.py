@@ -4,10 +4,12 @@ from pathlib import Path
 
 import pytest
 
+from nicheflow import cli
 from nicheflow.cli import main
 from nicheflow.config import load_config, parse_config
 from nicheflow.errors import ConfigError, StorageError
 from nicheflow.evolution import Population
+from nicheflow.memory import LlmExperiencePool, WorkflowExperiencePool
 from nicheflow.snapshot import RunLock, load_population, save_population
 
 
@@ -228,6 +230,42 @@ def test_cli_resume_matches_uninterrupted_run(tmp_path):
         assert other.exists()
         assert wid_file.read_bytes() == other.read_bytes()
     assert (run_a / "steps.jsonl").read_bytes() == (run_b / "steps.jsonl").read_bytes()
+
+
+def test_cli_evolve_cuts_a_torn_step_report(tmp_path):
+    path, run_dir = _write_config(tmp_path)
+    assert main(["--config", str(path), "init"]) == 0
+    assert main(["--config", str(path), "evolve", "--steps", "5"]) == 0
+    with (run_dir / "steps.jsonl").open("a") as fh:
+        fh.write('{"generation": 6, "acc')  # crash mid-append
+    assert main(["--config", str(path), "evolve", "--steps", "2"]) == 0
+    lines = (run_dir / "steps.jsonl").read_text().splitlines()
+    assert len(lines) == 7
+    assert [json.loads(line)["generation"] for line in lines] == list(range(1, 8))
+
+
+def test_cli_evolve_closes_both_experience_logs_when_a_step_raises(tmp_path, monkeypatch):
+    path, _ = _write_config(tmp_path)
+    assert main(["--config", str(path), "init"]) == 0
+    closed = []
+    for cls in (LlmExperiencePool, WorkflowExperiencePool):
+        def close(self, original=cls.close):
+            closed.append(type(self).__name__)
+            original(self)
+        monkeypatch.setattr(cls, "close", close)
+    steps = []
+
+    def evolve_step(*args):
+        steps.append(args)
+        if len(steps) == 2:
+            raise StorageError("disk full")
+        return cli_evolve_step(*args)
+
+    cli_evolve_step = cli.evolve_step
+    monkeypatch.setattr(cli, "evolve_step", evolve_step)
+    assert main(["--config", str(path), "evolve", "--steps", "3"]) == 4
+    assert len(steps) == 2
+    assert sorted(closed) == ["LlmExperiencePool", "WorkflowExperiencePool"]
 
 
 def test_cli_evolve_rejects_config_drift(tmp_path, capsys):

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +15,6 @@ from nicheflow.executor import (
     _Caller,
     evaluate,
     execute,
-    export_trace,
     run_operator,
 )
 from nicheflow.genome import InvokingNode, OperatorNode
@@ -28,7 +26,7 @@ from nicheflow.operators import (
     render_prompt,
     safe_arithmetic_eval,
 )
-from nicheflow.provider import ChatRequest, call_cost, make_task_envelope
+from nicheflow.provider import ChatRequest, ChatResponse, call_cost, make_task_envelope
 from nicheflow.templates import build_operator, template_node_count
 
 from conftest import ScriptedProvider, build_genome
@@ -234,16 +232,45 @@ def test_execute_total_cost_is_sum_of_call_costs(pool, sim_provider):
     )
 
 
+class _Recording:
+    """Passes each request on to a provider and keeps it."""
+
+    def __init__(self, provider):
+        self.provider = provider
+        self.requests = []
+
+    def chat(self, req):
+        self.requests.append(req)
+        return self.provider.chat(req)
+
+
 def test_execute_is_deterministic_with_simulated_backend(pool, sim_provider):
     g = build_genome(kinds=("SelfConsistency",), model="small")
     query = TaskQuery("q", "solve " + make_task_envelope("q", "hard", "3"),
                       domain="hard", gold="3", metric="numeric")
-    t1 = execute(g, query, sim_provider, pool)
-    t2 = execute(g, query, sim_provider, pool)
+    p1, p2 = _Recording(sim_provider), _Recording(sim_provider)
+    t1 = execute(g, query, p1, pool)
+    t2 = execute(g, query, p2, pool)
     assert t1.answer == t2.answer
     assert t1.total_cost == t2.total_cost
-    assert [c.request_digest for r in t1.records for c in r.calls] == \
-           [c.request_digest for r in t2.records for c in r.calls]
+    assert t1.call_count == t2.call_count == 5
+    assert p1.requests == p2.requests
+
+
+def test_execute_digests_each_request_once_and_no_response(pool, sim_provider, monkeypatch):
+    counts = {ChatRequest: 0, ChatResponse: 0}
+    for cls in counts:
+        def counted(self, digest=cls.digest, cls=cls):
+            counts[cls] += 1
+            return digest(self)
+        monkeypatch.setattr(cls, "digest", counted)
+    g = build_genome(kinds=("Debate", "CoT"), model="mid")
+    query = TaskQuery("q", "solve " + make_task_envelope("q", "easy", "5"),
+                      domain="easy", gold="5", metric="numeric")
+    trace = execute(g, query, sim_provider, pool)
+    assert trace.call_count == 8
+    # the simulated backend draws each reply from the request digest; nothing else digests
+    assert counts == {ChatRequest: trace.call_count, ChatResponse: 0}
 
 
 def test_execute_respects_call_budget(pool):
@@ -261,15 +288,6 @@ def test_execute_rejects_cyclic_genome(pool):
     g = dataclasses.replace(g, inter_edges=((a, b), (b, a)))
     with pytest.raises(StructureError):
         execute(g, QUERY, ScriptedProvider(["x"]), pool)
-
-
-def test_export_trace_writes_document(pool, tmp_path):
-    g = build_genome()
-    trace = execute(g, QUERY, ScriptedProvider(["42"]), pool)
-    path = export_trace(trace, tmp_path, "q1", g.workflow_id)
-    doc = json.loads(path.read_text())
-    assert doc["answer"] == "42"
-    assert path == tmp_path / "traces" / "q1" / f"{g.workflow_id}.json"
 
 
 # --- scoring ----------------------------------------------------------------------

@@ -135,6 +135,30 @@ def _counts(path):
     return s.positive_count, s.negative_count
 
 
+def test_a_log_held_open_is_read_by_a_second_pool(tmp_path):
+    path = tmp_path / "llm_pool.log"
+    writer = LlmExperiencePool(path)
+    writer.append(_llm_rec(verdict="Positive"))
+    writer.append(_llm_rec(verdict="Negative", i=1))
+    assert _counts(path) == (1, 1)  # each line is flushed while the log stays open
+    writer.close()
+
+
+def test_close_twice_then_append_reopens_the_log(tmp_path):
+    path = tmp_path / "wf_pool.log"
+    pool = WorkflowExperiencePool(path)
+    pool.close()  # nothing opened yet
+    pool.append(WorkflowExperienceRecord("wf", "q0", "Positive", "c", 1.0, 0.1))
+    pool.close()
+    pool.close()
+    pool.append(WorkflowExperienceRecord("wf", "q1", "Negative", "c", 0.0, 0.1))
+    pool.close()
+    assert [json.loads(line)["query_id"] for line in path.read_text().splitlines()] == [
+        "q0", "q1",
+    ]
+    WorkflowExperiencePool().close()  # an in-memory pool has no log
+
+
 def test_torn_tail_is_cut_so_later_appends_survive(tmp_path):
     path = tmp_path / "llm_pool.log"
     pool = LlmExperiencePool(path)
