@@ -6,6 +6,7 @@ selection, the per-query evolution step, and inference-time retrieval.
 
 import json
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -34,7 +35,7 @@ from .memory import (
     verdict_from_perf,
 )
 from .operators import topological_order
-from .provider import Evolver
+from .provider import Evolver, SimulatedProvider
 from .templates import (
     CROSSOVER_PROMPT,
     DEFAULT_OPERATOR_REPO,
@@ -721,7 +722,8 @@ def evolve_step(
 ) -> tuple[Population, StepReport]:
     """One full evolution iteration on a single query: retrieve parents,
     breed and mutate an offspring, build the niching pool, execute and update
-    stats, then environmentally select."""
+    stats, then environmentally select. The niche members execute on one
+    thread each unless the provider is a ``SimulatedProvider``."""
     cfg = deps.cfg
     cfg.check()
     evolver = make_evolver(cfg, deps.provider, deps.pool)
@@ -754,23 +756,31 @@ def evolve_step(
 
     niche = niching_area(pop, offspring, cfg.niche_size, parents=parents)
 
-    evaluations: dict[str, dict[str, float]] = {}
-    updated: dict[str, WorkflowGenome] = {}
-    for genome in sorted(niche.exec_members, key=lambda g: g.workflow_id):
+    def run(genome: WorkflowGenome) -> tuple[float, float]:
         try:
             trace = execute(
                 genome, query, deps.provider, deps.pool,
                 call_budget=cfg.call_budget, tools=deps.tools,
             )
-            perf = evaluate(trace.answer, query)
-            cost = trace.total_cost
+            return evaluate(trace.answer, query), trace.total_cost
         except BudgetExceeded as e:
             # over-budget genomes score zero but still pay for their calls
-            perf, cost = 0.0, e.partial_cost
-        new_genome = update_stats(genome, cost, perf)
-        updated[new_genome.workflow_id] = new_genome
-        evaluations[new_genome.workflow_id] = {"perf": perf, "cost": cost}
-        _append_experience(deps, new_genome, query, perf, cost, cfg)
+            return 0.0, e.partial_cost
+
+    # Results are consumed in id order on this thread, so stats, reports and
+    # experience appends keep the serial order whichever mapper runs them.
+    members = sorted(niche.exec_members, key=lambda g: g.workflow_id)
+    evaluations: dict[str, dict[str, float]] = {}
+    updated: dict[str, WorkflowGenome] = {}
+    with ThreadPoolExecutor(max_workers=len(members)) as workers:
+        # The simulated backend never waits and holds the GIL for each call,
+        # so threads would only add switching: it runs members in sequence.
+        mapper = map if isinstance(deps.provider, SimulatedProvider) else workers.map
+        for genome, (perf, cost) in zip(members, mapper(run, members)):
+            new_genome = update_stats(genome, cost, perf)
+            updated[new_genome.workflow_id] = new_genome
+            evaluations[new_genome.workflow_id] = {"perf": perf, "cost": cost}
+            _append_experience(deps, new_genome, query, perf, cost, cfg)
 
     for wid, genome in updated.items():
         if wid in pop.ids:

@@ -67,6 +67,9 @@ class ChatResponse:
 
 
 class ModelProvider(Protocol):
+    """A chat backend. ``evolve_step`` calls ``chat`` from several threads
+    at once, so it must be thread-safe."""
+
     def chat(self, req: ChatRequest) -> ChatResponse: ...
 
 

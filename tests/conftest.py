@@ -1,8 +1,13 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from nicheflow.bench import DomainSpec, generate_suite, interleave_tasks
 from nicheflow.embedding import HashingEmbedder, with_tag_vectors
 from nicheflow.errors import ProviderError
+from nicheflow.evolution import EvolveDeps, init_population
 from nicheflow.genome import (
     ModelPool,
     ModelSpec,
@@ -11,7 +16,7 @@ from nicheflow.genome import (
     fresh_workflow_id,
 )
 from nicheflow.provider import ChatResponse, SimModelProfile, SimulatedProvider
-from nicheflow.templates import build_operator
+from nicheflow.templates import DEFAULT_OPERATOR_REPO, build_operator
 
 
 MODEL_SPECS = [
@@ -103,3 +108,44 @@ def unit_vec(dim, angle_cos, rng=None):
     v[0] = angle_cos
     v[1] = np.sqrt(max(0.0, 1.0 - angle_cos**2))
     return v
+
+
+class InFlightProvider:
+    """Thread-safe pass-through to another backend that waits ``delay_s``
+    per call, as a hosted model would, and records the peak number of calls
+    in flight at once. Not a ``SimulatedProvider``, so ``evolve_step`` runs
+    the niche members through it concurrently."""
+
+    def __init__(self, inner, delay_s=0.0002):
+        self.inner = inner
+        self.delay_s = delay_s
+        self._lock = threading.Lock()
+        self._in_flight = 0
+        self.peak = 0
+
+    def chat(self, req):
+        with self._lock:
+            self._in_flight += 1
+            self.peak = max(self.peak, self._in_flight)
+        try:
+            time.sleep(self.delay_s)
+            return self.inner.chat(req)
+        finally:
+            with self._lock:
+                self._in_flight -= 1
+
+
+def library_setup(cfg, provider, seed, llm_pool=None, wf_pool=None):
+    """Set-up of the README's library loop on the two-domain suite: the
+    initial population, the step dependencies and the query stream."""
+    pool = ModelPool(MODEL_SPECS)
+    embedder = HashingEmbedder(dim=64)
+    deps = EvolveDeps(
+        cfg=cfg, pool=pool, provider=provider, embedder=embedder,
+        llm_pool=llm_pool, wf_pool=wf_pool,
+    )
+    domains = [DomainSpec("easy", 0.2), DomainSpec("hard", 0.8)]
+    tasks = interleave_tasks(generate_suite(domains, 20, seed=seed))
+    pop = init_population(cfg, DEFAULT_OPERATOR_REPO, pool, embedder,
+                          np.random.default_rng([seed, 0]), provider=provider, seed=seed)
+    return pop, deps, tasks

@@ -22,7 +22,7 @@ from nicheflow.memory import LlmExperiencePool, WorkflowExperiencePool
 from nicheflow.provider import SimulatedProvider
 from nicheflow.templates import DEFAULT_OPERATOR_REPO
 
-from conftest import MODEL_SPECS, SIM_PROFILES
+from conftest import MODEL_SPECS, SIM_PROFILES, InFlightProvider, library_setup
 from test_acceptance import _cli_config_doc
 
 CLI_RUN_SHA256 = "c0c2aa2a3e0ae7806bc525951647d2b4f1e481de22cd0d4b4b3ad35bb428316d"
@@ -74,3 +74,23 @@ def test_llm_route_run_is_pinned():
     chunks = [(f"step{i}", canonical.dumps(r).encode("utf-8")) for i, r in enumerate(reports)]
     chunks += [(m.workflow_id, serialize(m).encode("utf-8")) for m in pop.members]
     assert _digest(chunks) == LLM_RUN_SHA256
+
+
+def test_llm_route_run_keeps_its_bytes_with_members_in_flight():
+    """The pinned 16-step run again, through a backend that waits per call:
+    the niche members then run concurrently, and every byte stays."""
+    seed, steps = 3, 16
+    provider = InFlightProvider(SimulatedProvider(SIM_PROFILES, seed=seed))
+    pop, deps, tasks = library_setup(
+        EvolutionConfig(llm_evolution=True), provider, seed,
+        llm_pool=LlmExperiencePool(), wf_pool=WorkflowExperiencePool(),
+    )
+    reports = []
+    for step in range(steps):
+        pop, report = evolve_step(pop, tasks[step % len(tasks)], deps,
+                                  np.random.default_rng([seed, 1000 + step]))
+        reports.append(report.to_doc())
+    chunks = [(f"step{i}", canonical.dumps(r).encode("utf-8")) for i, r in enumerate(reports)]
+    chunks += [(m.workflow_id, serialize(m).encode("utf-8")) for m in pop.members]
+    assert _digest(chunks) == LLM_RUN_SHA256
+    assert provider.peak >= 2

@@ -110,6 +110,7 @@ def test_file_backed_pool_reloads(tmp_path):
     pool = LlmExperiencePool(path)
     for v in ["Positive", "Negative", "Positive"]:
         pool.append(_llm_rec(verdict=v))
+    pool.close()
     reloaded = LlmExperiencePool(path)
     s = reloaded.query_summary("m1", "easy")
     assert (s.positive_count, s.negative_count) == (2, 1)
@@ -120,6 +121,7 @@ def test_truncated_final_line_is_skipped(tmp_path, caplog):
     pool = LlmExperiencePool(path)
     pool.append(_llm_rec(verdict="Positive"))
     pool.append(_llm_rec(verdict="Negative", i=1))
+    pool.close()
     # simulate a crash mid-append
     with path.open("a") as fh:
         fh.write('{"model_id": "m1", "dom')
@@ -169,19 +171,25 @@ def test_torn_tail_is_cut_so_later_appends_survive(tmp_path):
     resumed = LlmExperiencePool(path)
     assert _counts(path) == (1, 1)
     resumed.append(_llm_rec(verdict="Positive", i=2))
+    resumed.close()
     resumed = LlmExperiencePool(path)
     assert _counts(path) == (2, 1)
     resumed.append(_llm_rec(verdict="Negative", i=3))
     assert _counts(path) == (2, 2)
     assert len(path.read_text().splitlines()) == 4
+    resumed.close()
+    pool.close()
 
 
 def test_final_record_without_its_newline_is_kept(tmp_path):
     path = tmp_path / "llm_pool.log"
-    LlmExperiencePool(path).append(_llm_rec(verdict="Positive"))
+    pool = LlmExperiencePool(path)
+    pool.append(_llm_rec(verdict="Positive"))
+    pool.close()
     path.write_text(path.read_text().rstrip("\n"))  # crash before the newline
     resumed = LlmExperiencePool(path)
     resumed.append(_llm_rec(verdict="Negative", i=1))
+    resumed.close()
     assert _counts(path) == (1, 1)
     assert path.read_text().endswith("\n")
 
@@ -189,7 +197,9 @@ def test_final_record_without_its_newline_is_kept(tmp_path):
 def test_log_line_holds_the_record_fields_and_old_timestamps_still_load(tmp_path):
     path = tmp_path / "wf_pool.log"
     record = WorkflowExperienceRecord("wf", "q0", "Positive", "c", 1.0, 0.25, domain="easy")
-    WorkflowExperiencePool(path).append(record)
+    pool = WorkflowExperiencePool(path)
+    pool.append(record)
+    pool.close()
     assert json.loads(path.read_text()) == dataclasses.asdict(record)
     with path.open("a") as fh:  # a line as older versions wrote it
         fh.write('{"commentary":"old","cost":0.5,"domain":"easy","perf":0.0,'
@@ -205,6 +215,7 @@ def test_mid_file_corruption_is_an_error(tmp_path):
     pool = WorkflowExperiencePool(path)
     pool.append(WorkflowExperienceRecord("wf", "q0", "Positive", "c", 1.0, 0.1))
     pool.append(WorkflowExperienceRecord("wf", "q1", "Negative", "c", 0.0, 0.1))
+    pool.close()
     lines = path.read_text().splitlines()
     lines[0] = '{"broken'
     path.write_text("\n".join(lines) + "\n")
