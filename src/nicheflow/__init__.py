@@ -72,7 +72,6 @@ from .provider import (
     HttpProvider,
     SimModelProfile,
     SimulatedProvider,
-    UsageMeter,
     call_cost,
 )
 

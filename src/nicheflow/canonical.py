@@ -2,9 +2,10 @@
 
 All on-disk artifacts (genomes, configs, step logs, manifests, experience
 logs) go through ``dumps`` so that structurally equal objects always produce
-identical bytes: keys sorted, compact separators, floats rounded to 12
-significant digits. The append-only logs hold one such document per line,
-written by ``write_line`` to a log ``open_log`` opened, read by ``read_lines``.
+identical bytes: keys sorted, compact separators, and floats written as their
+shortest round-trip repr, so a document read back holds the very floats that
+were written. The append-only logs hold one such document per line, written
+by ``write_line`` to a log ``open_log`` opened, read by ``read_lines``.
 """
 
 import json
@@ -17,28 +18,10 @@ from .errors import StorageError
 logger = logging.getLogger(__name__)
 
 
-def canonical_float(x: float) -> float:
-    # 12 significant digits; repr of the rounded value is shortest-roundtrip
-    # and stable across CPython platforms.
-    return float(f"{x:.12g}")
-
-
-def _canonicalize(obj: Any) -> Any:
-    if isinstance(obj, float):
-        return canonical_float(obj)
-    if isinstance(obj, dict):
-        return {str(k): _canonicalize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonicalize(v) for v in obj]
-    return obj
-
-
 def dumps(obj: Any) -> str:
-    return json.dumps(_canonicalize(obj), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-
-
-def loads(text: str) -> Any:
-    return json.loads(text)
+    # Keys must be strings: ``json`` sorts keys before it converts them, so
+    # int keys would sort by value and mixed key types would raise.
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def open_log(path: Path) -> TextIO:

@@ -59,6 +59,46 @@ def _config_hash(doc: dict) -> str:
     return hashlib.sha256(canonical.dumps(hashable).encode("utf-8")).hexdigest()[:16]
 
 
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not true or false")
+    return value
+
+
+# The hyperparameters a config may set, each with the conversion of its JSON
+# value; one left out takes its ``EvolutionConfig`` default.
+_HYPERPARAMETERS = {
+    "population_size": int,
+    "parents_k": int,
+    "kappa": int,
+    "niche_size": int,
+    "phi": float,
+    "rho_llm": float,
+    "rho_prompt": float,
+    "m_max": int,
+    "call_budget": int,
+    "retries": int,
+    "skip_edge_prob": float,
+    "success_threshold": float,
+    "llm_evolution": _flag,
+    "evolver_model": lambda value: value,
+}
+
+
+def _evolution_config(hp) -> EvolutionConfig:
+    if not isinstance(hp, dict):
+        raise ConfigError("hyperparameters must be a JSON object")
+    values = {}
+    for key, value in hp.items():
+        if key not in _HYPERPARAMETERS:
+            raise ConfigError(f"unknown hyperparameter {key!r}")
+        try:
+            values[key] = _HYPERPARAMETERS[key](value)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"bad hyperparameter {key!r}: {e}") from e
+    return EvolutionConfig(**values)
+
+
 def parse_config(doc: dict, run_dir_override: Optional[str] = None) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -71,7 +111,6 @@ def parse_config(doc: dict, run_dir_override: Optional[str] = None) -> RunConfig
                     model_id=m["model_id"],
                     prompt_price=float(m["prompt_price"]),
                     completion_price=float(m["completion_price"]),
-                    size_params=m.get("size_params"),
                     latency_hint=float(m.get("latency_hint", 0.0)),
                 )
             )
@@ -85,23 +124,7 @@ def parse_config(doc: dict, run_dir_override: Optional[str] = None) -> RunConfig
                     completion_tokens=int(sim.get("completion_tokens", 100)),
                 )
             )
-        hp = doc.get("hyperparameters", {})
-        evolution = EvolutionConfig(
-            population_size=int(hp.get("population_size", 15)),
-            parents_k=int(hp.get("parents_k", 3)),
-            kappa=int(hp.get("kappa", 5)),
-            niche_size=int(hp.get("niche_size", 5)),
-            phi=float(hp.get("phi", 0.05)),
-            rho_llm=float(hp.get("rho_llm", 0.3)),
-            rho_prompt=float(hp.get("rho_prompt", 0.3)),
-            m_max=int(hp.get("m_max", 4)),
-            call_budget=int(hp.get("call_budget", 64)),
-            retries=int(hp.get("retries", 3)),
-            skip_edge_prob=float(hp.get("skip_edge_prob", 0.25)),
-            success_threshold=float(hp.get("success_threshold", 1.0)),
-            llm_evolution=bool(hp.get("llm_evolution", False)),
-            evolver_model=hp.get("evolver_model"),
-        )
+        evolution = _evolution_config(doc.get("hyperparameters", {}))
         suite = doc.get("suite", {})
         domains = [
             DomainSpec(label=d["label"], difficulty=float(d["difficulty"]))

@@ -170,6 +170,7 @@ def generate_tags(
         DESCRIPTION=", ".join(op.kind for op in genome.operators),
         CODE=serialize(genome),
         TASK="(no solved task recorded yet)",
+        KAPPA=kappa,
     )
     tags = evolver.ask(prompt, lambda reply: _parse_tag_reply(reply, kappa), retry=True)
     return tags if tags is not None else structural_tags(genome, pool, kappa)

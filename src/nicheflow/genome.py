@@ -26,7 +26,6 @@ class ModelSpec:
     model_id: str
     prompt_price: float
     completion_price: float
-    size_params: Optional[int] = None
     latency_hint: float = 0.0
 
 

@@ -10,7 +10,6 @@ pure function of (seed, model_id, request digest).
 import hashlib
 import logging
 import re
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Protocol, Sequence, TypeVar
@@ -113,48 +112,6 @@ def call_cost(resp: ChatResponse, spec: ModelSpec) -> float:
         resp.prompt_tokens / 1e6 * spec.prompt_price
         + resp.completion_tokens / 1e6 * spec.completion_price
     )
-
-
-@dataclass
-class UsageReport:
-    total_cost: float
-    total_prompt_tokens: int
-    total_completion_tokens: int
-    per_model: dict[str, dict[str, float]]
-
-
-class UsageMeter:
-    """Append-only call log with atomic aggregation."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._log: list[tuple[str, int, int, float]] = []
-
-    def record(self, model_id: str, resp: ChatResponse, cost: float) -> None:
-        with self._lock:
-            self._log.append(
-                (model_id, resp.prompt_tokens, resp.completion_tokens, cost)
-            )
-
-    def report(self) -> UsageReport:
-        with self._lock:
-            log = list(self._log)
-        per_model: dict[str, dict[str, float]] = {}
-        for model_id, pt, ct, cost in log:
-            entry = per_model.setdefault(
-                model_id,
-                {"cost": 0.0, "prompt_tokens": 0, "completion_tokens": 0, "calls": 0},
-            )
-            entry["cost"] += cost
-            entry["prompt_tokens"] += pt
-            entry["completion_tokens"] += ct
-            entry["calls"] += 1
-        return UsageReport(
-            total_cost=sum(c for *_, c in log),
-            total_prompt_tokens=sum(pt for _, pt, _, _ in log),
-            total_completion_tokens=sum(ct for _, _, ct, _ in log),
-            per_model=per_model,
-        )
 
 
 # --- task envelope (simulated-backend test harness) --------------------------

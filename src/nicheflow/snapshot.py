@@ -6,6 +6,7 @@ manifest carrying the generation, seed, and config hash. Saves are atomic
 corrupts the previous one.
 """
 
+import json
 import os
 import shutil
 from pathlib import Path
@@ -45,7 +46,7 @@ def save_population(pop: Population, run_dir, config_hash: str = "") -> Path:
 def load_population(run_dir) -> tuple[Population, str]:
     target = Path(run_dir) / "population"
     try:
-        manifest = canonical.loads((target / "manifest.json").read_text(encoding="utf-8"))
+        manifest = json.loads((target / "manifest.json").read_text(encoding="utf-8"))
         members = [
             deserialize((target / f"{wid}.json").read_text(encoding="utf-8"))
             for wid in manifest["members"]

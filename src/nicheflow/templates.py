@@ -19,7 +19,7 @@ Definition:
 A task this workflow handled:
 {TASK}
 
-Reply with exactly 5 short tags, comma separated, on a single line, and
+Reply with exactly {KAPPA} short tags, comma separated, on a single line, and
 nothing else. Tags should name the problem domains and the difficulty level
 this workflow is suited for. Avoid generic tags.
 """

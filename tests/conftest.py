@@ -20,8 +20,8 @@ from nicheflow.templates import DEFAULT_OPERATOR_REPO, build_operator
 
 
 MODEL_SPECS = [
-    ModelSpec("tiny", prompt_price=0.05, completion_price=0.1, size_params=7_000_000_000),
-    ModelSpec("small", prompt_price=0.3, completion_price=0.6, size_params=70_000_000_000),
+    ModelSpec("tiny", prompt_price=0.05, completion_price=0.1),
+    ModelSpec("small", prompt_price=0.3, completion_price=0.6),
     ModelSpec("mid", prompt_price=1.0, completion_price=2.0),
     ModelSpec("big", prompt_price=5.0, completion_price=10.0, latency_hint=2.0),
 ]

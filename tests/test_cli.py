@@ -12,6 +12,8 @@ from nicheflow.evolution import Population
 from nicheflow.memory import LlmExperiencePool, WorkflowExperiencePool
 from nicheflow.snapshot import RunLock, load_population, save_population
 
+from test_acceptance import _cli_config_doc
+
 
 def _config_doc(run_dir, seed=7, **extra):
     doc = {
@@ -89,6 +91,8 @@ def test_run_dir_override(tmp_path):
     {"hyperparameters": {"phi": 0}},
     {"checkpoint_interval": 0},
     {"suite": {"domains": [{"label": "x", "difficulty": 2.0}]}},
+    {"hyperparameters": {"popultion_size": 8}},
+    {"hyperparameters": {"llm_evolution": "false"}},
 ])
 def test_bad_configs_raise_config_error(tmp_path, mutation):
     doc = _config_doc(tmp_path / "run")
@@ -212,24 +216,31 @@ def test_cli_infer_and_bench_do_not_read_experience_logs(tmp_path):
     assert main(["--config", str(path), "evolve", "--steps", "1"]) == 4
 
 
-def test_cli_resume_matches_uninterrupted_run(tmp_path):
-    path_a, run_a = _write_config(tmp_path, name="a.json")
-    path_b = tmp_path / "b.json"
-    path_b.write_text(json.dumps(_config_doc(tmp_path / "run_b")))
-    run_b = tmp_path / "run_b"
+@pytest.mark.parametrize("config_doc, steps, chunks", [
+    (_config_doc, 10, [4, 6]),
+    # the small config replays 60 steps even from 12-digit floats; the
+    # acceptance config needs the exact ones
+    (_cli_config_doc, 60, [10] * 6),
+], ids=["small", "acceptance"])
+def test_cli_resume_matches_uninterrupted_run(tmp_path, config_doc, steps, chunks):
+    run_dirs = []
+    for label, runs in (("whole", [steps]), ("resumed", chunks)):
+        run_dir = tmp_path / label
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(config_doc(run_dir)))
+        assert main(["--config", str(path), "init"]) == 0
+        for n in runs:
+            assert main(["--config", str(path), "evolve", "--steps", str(n)]) == 0
+        run_dirs.append(run_dir)
 
-    assert main(["--config", str(path_a), "init"]) == 0
-    assert main(["--config", str(path_a), "evolve", "--steps", "10"]) == 0
-
-    assert main(["--config", str(path_b), "init"]) == 0
-    assert main(["--config", str(path_b), "evolve", "--steps", "4"]) == 0
-    assert main(["--config", str(path_b), "evolve", "--steps", "6"]) == 0
-
-    for wid_file in sorted((run_a / "population").iterdir()):
-        other = run_b / "population" / wid_file.name
-        assert other.exists()
-        assert wid_file.read_bytes() == other.read_bytes()
-    assert (run_a / "steps.jsonl").read_bytes() == (run_b / "steps.jsonl").read_bytes()
+    whole, resumed = run_dirs
+    names = sorted(p.name for p in (whole / "population").iterdir())
+    assert names == sorted(p.name for p in (resumed / "population").iterdir())
+    files = [Path("population", name) for name in names] + [
+        Path("steps.jsonl"), Path("memory", "llm_pool.log"), Path("memory", "wf_pool.log"),
+    ]
+    for rel in files:
+        assert (whole / rel).read_bytes() == (resumed / rel).read_bytes(), rel
 
 
 def test_cli_evolve_cuts_a_torn_step_report(tmp_path):

@@ -136,6 +136,15 @@ def test_generate_tags_from_wellformed_reply(pool):
     assert len(provider.requests) == 1
 
 
+def test_generate_tags_asks_for_kappa_tags(pool):
+    tags = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"]
+    provider = ScriptedProvider([", ".join(tags)])
+    g = build_genome()
+    assert generate_tags(g, Evolver(provider, "big", retries=3), pool, kappa=7) == tags
+    assert len(provider.requests) == 1
+    assert "exactly 7 short tags" in provider.requests[0].messages[-1]["content"]
+
+
 def test_generate_tags_retries_then_falls_back(pool):
     provider = ScriptedProvider(["nope", "still nope", "nah"])
     g = build_genome()

@@ -25,9 +25,9 @@ from nicheflow.templates import DEFAULT_OPERATOR_REPO
 from conftest import MODEL_SPECS, SIM_PROFILES, InFlightProvider, library_setup
 from test_acceptance import _cli_config_doc
 
-CLI_RUN_SHA256 = "c0c2aa2a3e0ae7806bc525951647d2b4f1e481de22cd0d4b4b3ad35bb428316d"
-LLM_RUN_SHA256 = "68cabca2f61f69c8256a424212db9b1abf84a40da743f9b234cea5a64fd31acc"
-MEMORY_LOGS_SHA256 = "45851870ff08343e52e8d7cc5ed07a271f1f3af31e2d2dfcc792c4ef7cbd5cb0"
+CLI_RUN_SHA256 = "8d73cbb104bd7d67c935fdd28117fe1ab4aaf47958a2fe24fecd228992ebb796"
+LLM_RUN_SHA256 = "fea244495c87d97bdec494de8ca226e14b7fbcc825814c000d532d43acb0bed5"
+MEMORY_LOGS_SHA256 = "56488c907df7c62c24e6151ff98107cb1b6868d2800d6846f09e41d4fe6ac83b"
 
 
 def _digest(named_chunks) -> str:

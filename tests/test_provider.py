@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +11,6 @@ from nicheflow.provider import (
     HttpProvider,
     SimModelProfile,
     SimulatedProvider,
-    UsageMeter,
     call_cost,
     make_task_envelope,
     parse_task_envelope,
@@ -59,28 +57,6 @@ def test_call_cost_per_million_tokens():
     )
     free = ModelSpec("f", prompt_price=0.0, completion_price=0.0)
     assert call_cost(resp, free) == 0.0
-
-
-def test_usage_meter_aggregates_exactly():
-    meter = UsageMeter()
-    rng = np.random.default_rng(1)
-    log = []
-    for _ in range(200):
-        model = ["a", "b", "c"][int(rng.integers(3))]
-        pt, ct = int(rng.integers(1, 500)), int(rng.integers(1, 500))
-        cost = float(rng.random())
-        meter.record(model, ChatResponse("x", pt, ct), cost)
-        log.append((model, pt, ct, cost))
-    report = meter.report()
-    assert report.total_prompt_tokens == sum(pt for _, pt, _, _ in log)
-    assert report.total_completion_tokens == sum(ct for _, _, ct, _ in log)
-    assert report.total_cost == pytest.approx(sum(c for *_, c in log), abs=1e-12)
-    for model in "abc":
-        rows = [r for r in log if r[0] == model]
-        assert report.per_model[model]["calls"] == len(rows)
-        assert report.per_model[model]["cost"] == pytest.approx(
-            sum(r[3] for r in rows), abs=1e-12
-        )
 
 
 def test_task_envelope_round_trip():
