@@ -7,7 +7,7 @@ Only the API key comes from the environment; everything else lives in the file.
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -24,13 +24,13 @@ DEFAULT_API_KEY_ENV = "EVOFLOW_API_KEY"
 
 @dataclass
 class RunConfig:
-    seed: int
-    run_dir: Path
-    backend: str  # "simulated" | "http"
     models: list[ModelSpec]
     sim_profiles: list[SimModelProfile]
-    evolution: EvolutionConfig
-    domains: list[DomainSpec]
+    seed: int = 0
+    run_dir: Path = Path("runs/default")
+    backend: str = "simulated"  # "simulated" | "http"
+    evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
+    domains: list[DomainSpec] = field(default_factory=lambda: [DomainSpec("general", 0.5)])
     tasks_per_domain: int = 20
     endpoint: str = ""
     api_key_env: str = DEFAULT_API_KEY_ENV
@@ -65,8 +65,29 @@ def _flag(value) -> bool:
     return value
 
 
-# The hyperparameters a config may set, each with the conversion of its JSON
-# value; one left out takes its ``EvolutionConfig`` default.
+def _same(value):
+    return value
+
+
+def _fields(doc, what: str, convert: dict) -> dict:
+    """The keys of the JSON object ``doc``, each converted by ``convert``. A
+    key ``convert`` does not name is a config error; one left out takes its
+    dataclass default."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"expected a JSON object of {what}s, got {type(doc).__name__}")
+    values = {}
+    for key, value in doc.items():
+        if key not in convert:
+            raise ConfigError(f"unknown {what} {key!r}")
+        try:
+            values[key] = convert[key](value)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"bad {what} {key!r}: {e}") from e
+    return values
+
+
+# What a config may set at each level, each key with the conversion of its
+# JSON value.
 _HYPERPARAMETERS = {
     "population_size": int,
     "parents_k": int,
@@ -81,71 +102,69 @@ _HYPERPARAMETERS = {
     "skip_edge_prob": float,
     "success_threshold": float,
     "llm_evolution": _flag,
-    "evolver_model": lambda value: value,
+    "evolver_model": _same,
+}
+_SIM_KEYS = {
+    "success_by_domain": dict,
+    "default_success": float,
+    "prompt_tokens": int,
+    "completion_tokens": int,
+}
+_MODEL_KEYS = {
+    "model_id": _same,
+    "prompt_price": float,
+    "completion_price": float,
+    "latency_hint": float,
+    "sim": lambda doc: _fields(doc, "sim key", _SIM_KEYS),
+}
+_DOMAIN_KEYS = {"label": _same, "difficulty": float}
+_SUITE_KEYS = {
+    "domains": lambda docs: [DomainSpec(**_fields(d, "domain key", _DOMAIN_KEYS)) for d in docs],
+    "tasks_per_domain": int,
 }
 
 
-def _evolution_config(hp) -> EvolutionConfig:
-    if not isinstance(hp, dict):
-        raise ConfigError("hyperparameters must be a JSON object")
-    values = {}
-    for key, value in hp.items():
-        if key not in _HYPERPARAMETERS:
-            raise ConfigError(f"unknown hyperparameter {key!r}")
-        try:
-            values[key] = _HYPERPARAMETERS[key](value)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"bad hyperparameter {key!r}: {e}") from e
-    return EvolutionConfig(**values)
+def _model(doc) -> tuple[ModelSpec, SimModelProfile]:
+    values = _fields(doc, "model key", _MODEL_KEYS)
+    sim = values.pop("sim", {})
+    spec = ModelSpec(**values)
+    return spec, SimModelProfile(spec.model_id, **sim)
+
+
+_CONFIG_KEYS = {
+    "seed": int,
+    "run_dir": Path,
+    "backend": _same,
+    "models": lambda docs: [_model(d) for d in docs],
+    "hyperparameters": lambda doc: EvolutionConfig(
+        **_fields(doc, "hyperparameter", _HYPERPARAMETERS)
+    ),
+    "suite": lambda doc: _fields(doc, "suite key", _SUITE_KEYS),
+    "endpoint": _same,
+    "api_key_env": _same,
+    "embedding_dim": int,
+    "checkpoint_interval": int,
+}
 
 
 def parse_config(doc: dict, run_dir_override: Optional[str] = None) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
+    """A run config from its JSON document; an unknown key at any level, like
+    a missing or mistyped one, is a config error."""
+    values = _fields(doc, "config key", _CONFIG_KEYS)
+    models = values.pop("models", [])
+    values.update(values.pop("suite", {}))
+    if "hyperparameters" in values:
+        values["evolution"] = values.pop("hyperparameters")
+    if run_dir_override:
+        values["run_dir"] = Path(run_dir_override)
     try:
-        models = []
-        profiles = []
-        for m in doc["models"]:
-            models.append(
-                ModelSpec(
-                    model_id=m["model_id"],
-                    prompt_price=float(m["prompt_price"]),
-                    completion_price=float(m["completion_price"]),
-                    latency_hint=float(m.get("latency_hint", 0.0)),
-                )
-            )
-            sim = m.get("sim", {})
-            profiles.append(
-                SimModelProfile(
-                    model_id=m["model_id"],
-                    success_by_domain=dict(sim.get("success_by_domain", {})),
-                    default_success=float(sim.get("default_success", 0.5)),
-                    prompt_tokens=int(sim.get("prompt_tokens", 200)),
-                    completion_tokens=int(sim.get("completion_tokens", 100)),
-                )
-            )
-        evolution = _evolution_config(doc.get("hyperparameters", {}))
-        suite = doc.get("suite", {})
-        domains = [
-            DomainSpec(label=d["label"], difficulty=float(d["difficulty"]))
-            for d in suite.get("domains", [{"label": "general", "difficulty": 0.5}])
-        ]
         cfg = RunConfig(
-            seed=int(doc.get("seed", 0)),
-            run_dir=Path(run_dir_override or doc.get("run_dir", "runs/default")),
-            backend=doc.get("backend", "simulated"),
-            models=models,
-            sim_profiles=profiles,
-            evolution=evolution,
-            domains=domains,
-            tasks_per_domain=int(suite.get("tasks_per_domain", 20)),
-            endpoint=doc.get("endpoint", ""),
-            api_key_env=doc.get("api_key_env", DEFAULT_API_KEY_ENV),
-            embedding_dim=int(doc.get("embedding_dim", 384)),
-            checkpoint_interval=int(doc.get("checkpoint_interval", 10)),
+            models=[spec for spec, _ in models],
+            sim_profiles=[profile for _, profile in models],
             config_hash=_config_hash(doc),
+            **values,
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"bad config: {e}") from e
     if not cfg.models:
         raise ConfigError("config needs at least one model")

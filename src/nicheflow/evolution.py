@@ -197,6 +197,15 @@ def _assemble(
 
 # --- initialization -----------------------------------------------------------
 
+def _random_operator(repo: Sequence[str], pool: ModelPool, op_id: str, rng) -> OperatorNode:
+    """A uniform kind from ``repo``, then a uniform pool model per template node."""
+    kind = repo[int(rng.integers(len(repo)))]
+    model_ids = pool.model_ids
+    n_nodes = template_node_count(kind)
+    chosen = [model_ids[int(rng.integers(len(model_ids)))] for _ in range(n_nodes)]
+    return build_operator(kind, op_id, chosen)
+
+
 def init_population(
     cfg: EvolutionConfig,
     operator_repo: Sequence[str],
@@ -214,17 +223,11 @@ def init_population(
     if len(pool) == 0:
         raise ConfigError("model pool must be nonempty")
     evolver = make_evolver(cfg, provider, pool)
-    model_ids = pool.model_ids
     members: list[WorkflowGenome] = []
     taken: set[str] = set()
     for _ in range(cfg.population_size):
         m = int(rng.integers(1, cfg.m_max + 1))
-        ops = []
-        for i in range(m):
-            kind = operator_repo[int(rng.integers(len(operator_repo)))]
-            n_nodes = template_node_count(kind)
-            chosen = [model_ids[int(rng.integers(len(model_ids)))] for _ in range(n_nodes)]
-            ops.append(build_operator(kind, f"op{i}", chosen))
+        ops = [_random_operator(operator_repo, pool, f"op{i}", rng) for i in range(m)]
         edges = list(chain_edges(ops))
         for i in range(m):
             for j in range(i + 2, m):
@@ -489,19 +492,10 @@ def mutate_operator(
     edges = list(genome.inter_edges)
 
     if action == 0:  # add
-        kind = repo[int(rng.integers(len(repo)))]
-        model_ids = pool.model_ids
-        chosen = [
-            model_ids[int(rng.integers(len(model_ids)))]
-            for _ in range(template_node_count(kind))
-        ]
-        new_op = build_operator(kind, "opX", chosen)
-        k = int(rng.integers(len(ops) + 1))
-        ops = ops[:k] + [new_op] + ops[k:]
+        new_op = _random_operator(repo, pool, "opX", rng)
+        ops.insert(int(rng.integers(len(ops) + 1)), new_op)
         new_ops = renumber_operators(ops)
-        candidate = replace(
-            genome, operators=new_ops, inter_edges=chain_edges(new_ops)
-        )
+        candidate = replace(genome, operators=new_ops, inter_edges=chain_edges(new_ops))
     elif action == 1:  # delete a non-sink operator
         if len(ops) <= 1:
             return genome
@@ -691,7 +685,6 @@ class EvolveDeps:
     repo: Sequence[str] = DEFAULT_OPERATOR_REPO
     llm_pool: Optional[LlmExperiencePool] = None
     wf_pool: Optional[WorkflowExperiencePool] = None
-    tools: Optional[dict] = None
 
 
 @dataclass
@@ -758,10 +751,7 @@ def evolve_step(
 
     def run(genome: WorkflowGenome) -> tuple[float, float]:
         try:
-            trace = execute(
-                genome, query, deps.provider, deps.pool,
-                call_budget=cfg.call_budget, tools=deps.tools,
-            )
+            trace = execute(genome, query, deps.provider, deps.pool, call_budget=cfg.call_budget)
             return evaluate(trace.answer, query), trace.total_cost
         except BudgetExceeded as e:
             # over-budget genomes score zero but still pay for their calls
@@ -877,10 +867,9 @@ def infer(
     mode: str = "best",
     budget: Optional[float] = None,
     call_budget: int = 64,
-    tools: Optional[dict] = None,
 ):
     ensure_tag_vectors(pop, embedder)
     query_vec = embedder.embed(query.text)
     genome = choose_workflow(pop, query_vec, mode=mode, budget=budget)
-    trace = execute(genome, query, provider, pool, call_budget=call_budget, tools=tools)
+    trace = execute(genome, query, provider, pool, call_budget=call_budget)
     return genome, trace

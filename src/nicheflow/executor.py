@@ -1,14 +1,15 @@
 """Workflow execution: topological scheduling of operator nodes over a model
-provider, call metering, and answer scoring. A trace keeps the answer and the
-cost of each call; each operator's own semantics come from the operator registry.
+provider, call metering, and answer scoring. A trace is the answer, the total
+cost and the call count; each operator's own semantics come from the operator
+registry.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
-from .errors import BudgetExceeded, InvalidInput, StructureError
+from .errors import BudgetExceeded, InvalidInput
 from .genome import ModelPool, WorkflowGenome
-from .operators import extract_number, parse_number, run_operator, topological_order
+from .operators import extract_number, parse_number, run_dag, run_operator
 from .provider import ChatRequest, ChatResponse, call_cost
 
 DEFAULT_CALL_BUDGET = 64
@@ -29,31 +30,15 @@ class TaskQuery:
 
 
 @dataclass(frozen=True)
-class CallRecord:
-    cost: float
-
-
-@dataclass(frozen=True)
-class OperatorRecord:
-    op_id: str
-    kind: str
-    calls: tuple[CallRecord, ...]
-
-
-@dataclass(frozen=True)
 class ExecutionTrace:
-    records: tuple[OperatorRecord, ...]
-    total_cost: float
     answer: str
-
-    @property
-    def call_count(self) -> int:
-        return sum(len(r.calls) for r in self.records)
+    total_cost: float
+    call_count: int
 
 
 class _Caller:
     """Issues model calls for one execution, enforcing the call budget and
-    accumulating per-operator call records."""
+    metering their count and cost."""
 
     def __init__(self, provider, pool: ModelPool, budget: int):
         self.provider = provider
@@ -61,7 +46,6 @@ class _Caller:
         self.budget = budget
         self.count = 0
         self.total_cost = 0.0
-        self.records: list[CallRecord] = []
 
     def call(self, node, rendered_prompt: str) -> str:
         if self.count >= self.budget:
@@ -76,15 +60,8 @@ class _Caller:
             temperature=node.temperature,
         )
         resp: ChatResponse = self.provider.chat(req)
-        cost = call_cost(resp, self.pool.get(node.model_id))
-        self.total_cost += cost
-        self.records.append(CallRecord(cost))
+        self.total_cost += call_cost(resp, self.pool.get(node.model_id))
         return resp.content
-
-    def take_records(self) -> tuple[CallRecord, ...]:
-        recs = tuple(self.records)
-        self.records = []
-        return recs
 
 
 def execute(
@@ -93,30 +70,16 @@ def execute(
     provider,
     pool: ModelPool,
     call_budget: int = DEFAULT_CALL_BUDGET,
-    tools: Optional[Mapping[str, Callable]] = None,
 ) -> ExecutionTrace:
     """Run every operator once in a topological order, threading each
     operator's output to its inter-edge successors; the single sink's output
     is the answer."""
-    order = topological_order(genome.op_ids, genome.inter_edges)
-    if order is None:
-        raise StructureError(f"genome {genome.workflow_id!r} has cyclic inter edges")
-    preds: dict[str, list[str]] = {oid: [] for oid in genome.op_ids}
-    for a, b in genome.inter_edges:
-        preds[b].append(a)
     caller = _Caller(provider, pool, call_budget)
-    outputs: dict[str, str] = {}
-    records: list[OperatorRecord] = []
-    for oid in order:
-        op = genome.operator(oid)
-        context = "\n".join(
-            f"## Output of {p}:\n{outputs[p]}" for p in sorted(preds[oid])
-        )
-        outputs[oid] = run_operator(op, query.text, context, caller, tools)
-        records.append(OperatorRecord(op_id=oid, kind=op.kind, calls=caller.take_records()))
-    answer = outputs[order[-1]]
-    total_cost = sum(c.cost for r in records for c in r.calls)
-    return ExecutionTrace(records=tuple(records), total_cost=total_cost, answer=answer)
+    answer = run_dag(
+        genome.op_ids, genome.inter_edges, f"genome {genome.workflow_id!r}",
+        lambda oid, context: run_operator(genome.operator(oid), query.text, context, caller),
+    )
+    return ExecutionTrace(answer, caller.total_cost, caller.count)
 
 
 # --- answer scoring ----------------------------------------------------------

@@ -5,7 +5,8 @@ prompts, default intra-operator wiring, default params, the runner that gives
 it its semantics over a model provider, and its nominal call count. Genome
 validation, operator templates, execution and complexity tiers all read this
 table, so the module sits below them and imports nothing else from the
-package but its errors.
+package but its errors. ``run_dag`` is the one walk that runs a DAG: the
+executor's over a workflow's operators, the Custom runner's over its nodes.
 """
 
 import ast
@@ -66,6 +67,23 @@ def topological_order(nodes: Sequence[str], edges: Iterable[tuple[str, str]]) ->
     return order
 
 
+def run_dag(nodes: Sequence[str], edges: Iterable[tuple[str, str]], owner: str, run) -> str:
+    """Run every node once in topological order, as ``run(node, inputs)`` with
+    its sorted predecessors' outputs as ``## Output of {p}:`` sections; the
+    last node's output is the result. A cycle is a ``StructureError``."""
+    order = topological_order(nodes, edges)
+    if order is None:
+        raise StructureError(f"{owner} has cyclic edges")
+    preds: dict[str, list[str]] = {n: [] for n in nodes}
+    for a, b in edges:
+        preds[b].append(a)
+    outputs: dict[str, str] = {}
+    for n in order:
+        inputs = "\n".join(f"## Output of {p}:\n{outputs[p]}" for p in sorted(preds[n]))
+        outputs[n] = run(n, inputs)
+    return outputs[order[-1]]
+
+
 # --- answer keys ---------------------------------------------------------------
 
 _NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?(?:\s*/\s*-?\d+)?")
@@ -107,7 +125,7 @@ def extract_answer_key(answer: str) -> str:
     return " ".join(answer.strip().lower().split())
 
 
-# --- arithmetic tool (default ReAct registry) ---------------------------------
+# --- arithmetic tool (ReAct's eval) -------------------------------------------
 
 _ALLOWED_BINOPS = {
     ast.Add: _op_mod.add,
@@ -145,13 +163,9 @@ def safe_arithmetic_eval(expression: str):
     return result
 
 
-def default_tool_registry() -> dict[str, Callable]:
-    return {"eval": safe_arithmetic_eval}
-
-
 # --- runners: per-kind semantics over a caller ---------------------------------
 #
-# A runner takes (op, task, context, caller, tools) and returns the operator's
+# A runner takes (op, task, context, caller) and returns the operator's
 # output; ``caller.call(node, prompt)`` makes one metered model call.
 
 def _param(op, name: str) -> int:
@@ -159,12 +173,16 @@ def _param(op, name: str) -> int:
     return int(op.params.get(name, OPERATORS[op.kind].params[name]))
 
 
-def _run_cot(op, task, context, caller, tools):
-    node = op.invoking_nodes[0]
-    return caller.call(node, render_prompt(node.prompt, {"task": task, "context": context}, op.op_id))
+def _ask(caller, op, node, **values) -> str:
+    """One metered call of ``node``, its prompt rendered over ``values``."""
+    return caller.call(node, render_prompt(node.prompt, values, op.op_id))
 
 
-def _run_debate(op, task, context, caller, tools):
+def _run_cot(op, task, context, caller):
+    return _ask(caller, op, op.invoking_nodes[0], task=task, context=context)
+
+
+def _run_debate(op, task, context, caller):
     debaters = op.invoking_nodes[:3]
     aggregator = op.invoking_nodes[3]
     rounds = _param(op, "rounds")
@@ -172,49 +190,27 @@ def _run_debate(op, task, context, caller, tools):
     for rnd in range(1, rounds + 1):
         round_outputs = []
         for i, node in enumerate(debaters):
-            reply = caller.call(
-                node,
-                render_prompt(
-                    node.prompt,
-                    {"task": task, "context": context, "positions": positions, "round": rnd},
-                    op.op_id,
-                ),
+            reply = _ask(
+                caller, op, node, task=task, context=context, positions=positions, round=rnd
             )
             round_outputs.append(f"[round {rnd} debater {i + 1}] {reply}")
         positions = (positions + "\n" if positions else "") + "\n".join(round_outputs)
-    return caller.call(
-        aggregator,
-        render_prompt(aggregator.prompt, {"task": task, "positions": positions}, op.op_id),
-    )
+    return _ask(caller, op, aggregator, task=task, positions=positions)
 
 
-def _run_stepback(op, task, context, caller, tools):
+def _run_stepback(op, task, context, caller):
     principle_node, answer_node = op.invoking_nodes
-    principle = caller.call(
-        principle_node,
-        render_prompt(principle_node.prompt, {"task": task, "context": context}, op.op_id),
-    )
-    return caller.call(
-        answer_node,
-        render_prompt(answer_node.prompt, {"task": task, "principle": principle}, op.op_id),
-    )
+    principle = _ask(caller, op, principle_node, task=task, context=context)
+    return _ask(caller, op, answer_node, task=task, principle=principle)
 
 
-def _run_self_consistency(op, task, context, caller, tools):
+def _run_self_consistency(op, task, context, caller):
     node = op.invoking_nodes[0]
     samples = _param(op, "samples")
-    answers = []
-    for i in range(1, samples + 1):
-        answers.append(
-            caller.call(
-                node,
-                render_prompt(
-                    node.prompt,
-                    {"task": task, "context": context, "sample": i},
-                    op.op_id,
-                ),
-            )
-        )
+    answers = [
+        _ask(caller, op, node, task=task, context=context, sample=i)
+        for i in range(1, samples + 1)
+    ]
     # majority vote on extracted answers; ties broken by first-sampled order
     keys = [extract_answer_key(a) for a in answers]
     counts = Counter(keys)
@@ -225,18 +221,12 @@ def _run_self_consistency(op, task, context, caller, tools):
     return answers[0]
 
 
-def _run_self_refine(op, task, context, caller, tools):
+def _run_self_refine(op, task, context, caller):
     generator, reflector = op.invoking_nodes
-    answer = caller.call(
-        generator,
-        render_prompt(generator.prompt, {"task": task, "context": context}, op.op_id),
-    )
+    answer = _ask(caller, op, generator, task=task, context=context)
     max_iter = _param(op, "max_iterations")
     for _ in range(max_iter):
-        feedback = caller.call(
-            reflector,
-            render_prompt(reflector.prompt, {"task": task, "response": answer}, op.op_id),
-        )
+        feedback = _ask(caller, op, reflector, task=task, response=answer)
         if SELFREFINE_STOP_MARKER in feedback:
             break
         revision_prompt = (
@@ -251,81 +241,50 @@ def _run_self_refine(op, task, context, caller, tools):
     return answer
 
 
-def _run_ensemble(op, task, context, caller, tools):
+def _run_ensemble(op, task, context, caller):
     answerers = op.invoking_nodes[:3]
     ranker = op.invoking_nodes[3]
     answers = []
     for i, node in enumerate(answerers):
-        reply = caller.call(
-            node, render_prompt(node.prompt, {"task": task, "context": context}, op.op_id)
-        )
+        reply = _ask(caller, op, node, task=task, context=context)
         answers.append(f"[candidate {i + 1}] {reply}")
-    return caller.call(
-        ranker,
-        render_prompt(
-            ranker.prompt, {"task": task, "answers": "\n".join(answers)}, op.op_id
-        ),
-    )
+    return _ask(caller, op, ranker, task=task, answers="\n".join(answers))
 
 
 _TOOL_CALL_RE = re.compile(r"eval\(([^()]*(?:\([^()]*\)[^()]*)*)\)")
 
 
-def _run_react(op, task, context, caller, tools):
+def _run_react(op, task, context, caller):
     node = op.invoking_nodes[0]
     max_iter = _param(op, "max_iterations")
     scratchpad = ""
     reply = ""
     for _ in range(max_iter):
-        reply = caller.call(
-            node,
-            render_prompt(
-                node.prompt,
-                {"task": task, "context": context, "scratchpad": scratchpad},
-                op.op_id,
-            ),
-        )
+        reply = _ask(caller, op, node, task=task, context=context, scratchpad=scratchpad)
         m = _TOOL_CALL_RE.search(reply)
-        if m is None or "eval" not in tools:
+        if m is None:
             return reply
         try:
-            observation = str(tools["eval"](m.group(1)))
+            observation = str(safe_arithmetic_eval(m.group(1)))
         except Exception as e:  # noqa: BLE001 - tool errors become observations
             observation = f"tool error: {e}"
         scratchpad += f"\nAction: eval({m.group(1)})\nObservation: {observation}"
     return reply
 
 
-def _run_expert(op, task, context, caller, tools):
+def _run_expert(op, task, context, caller):
     router, expert = op.invoking_nodes
-    persona = caller.call(router, render_prompt(router.prompt, {"task": task}, op.op_id))
-    return caller.call(
-        expert,
-        render_prompt(expert.prompt, {"task": task, "persona": persona.strip()}, op.op_id),
-    )
+    persona = _ask(caller, op, router, task=task)
+    return _ask(caller, op, expert, task=task, persona=persona.strip())
 
 
-def _run_custom(op, task, context, caller, tools):
-    node_ids = [n.node_id for n in op.invoking_nodes]
-    order = topological_order(node_ids, op.intra_edges)
-    if order is None:
-        raise StructureError(f"operator {op.op_id!r}: intra-edge cycle")
-    outputs: dict[str, str] = {}
-    preds: dict[str, list[str]] = {nid: [] for nid in node_ids}
-    for a, b in op.intra_edges:
-        preds[b].append(a)
-    last = ""
-    for nid in order:
-        node = op.node(nid)
-        inner = "\n".join(
-            f"## Output of {p}:\n{outputs[p]}" for p in sorted(preds[nid])
-        )
+def _run_custom(op, task, context, caller):
+    def run(nid, inner):
         ctx = (context + "\n" + inner).strip() if inner else context
-        last = caller.call(
-            node, render_prompt(node.prompt, {"task": task, "context": ctx}, op.op_id)
-        )
-        outputs[nid] = last
-    return last
+        return _ask(caller, op, op.node(nid), task=task, context=ctx)
+
+    nodes = [n.node_id for n in op.invoking_nodes]
+    return run_dag(nodes, op.intra_edges, f"operator {op.op_id!r}", run)
 
 
 # --- the registry --------------------------------------------------------------
@@ -468,21 +427,12 @@ def arity_violation(op) -> Optional[str]:
     return None
 
 
-def run_operator(
-    op,
-    task: str,
-    context: str,
-    caller,
-    tools: Optional[Mapping[str, Callable]] = None,
-) -> str:
-    """Run one operator through its kind's runner; ``tools`` defaults to
-    ``default_tool_registry()``."""
+def run_operator(op, task: str, context: str, caller) -> str:
+    """Run one operator through its kind's runner."""
     spec = OPERATORS.get(op.kind)
     if spec is None:
         raise StructureError(f"unknown operator kind {op.kind!r}")
     problem = arity_violation(op)
     if problem is not None:
         raise StructureError(problem)
-    if tools is None:
-        tools = default_tool_registry()
-    return spec.runner(op, task, context, caller, tools)
+    return spec.runner(op, task, context, caller)

@@ -130,10 +130,6 @@ def parse_task_envelope(text: str) -> Optional[tuple[str, str, str]]:
     return m.group(1), m.group(2), m.group(3)
 
 
-def strip_task_envelope(text: str) -> str:
-    return _ENVELOPE_RE.sub("", text).strip()
-
-
 # --- simulated backend -------------------------------------------------------
 
 @dataclass(frozen=True)

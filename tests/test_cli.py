@@ -84,6 +84,19 @@ def test_run_dir_override(tmp_path):
     assert cfg.run_dir == tmp_path / "elsewhere"
 
 
+_TINY = {"model_id": "tiny", "prompt_price": 0.05, "completion_price": 0.1}
+
+# A misspelt or retired key at each level of the config, and its name.
+_UNKNOWN_KEYS = [
+    ({"checkpoint_intervall": 3}, "checkpoint_intervall"),
+    ({"models": [{**_TINY, "sim": {"default_succes": 0.9}}]}, "default_succes"),
+    ({"models": [{**_TINY, "latency_hnt": 5}]}, "latency_hnt"),
+    ({"suite": {"tasks_per_domian": 3}}, "tasks_per_domian"),
+    ({"models": [{**_TINY, "size_params": 7}]}, "size_params"),
+    ({"suite": {"domains": [{"label": "x", "difficulty": 0.3, "weight": 2}]}}, "weight"),
+]
+
+
 @pytest.mark.parametrize("mutation", [
     {"backend": "quantum"},
     {"models": []},
@@ -93,11 +106,20 @@ def test_run_dir_override(tmp_path):
     {"suite": {"domains": [{"label": "x", "difficulty": 2.0}]}},
     {"hyperparameters": {"popultion_size": 8}},
     {"hyperparameters": {"llm_evolution": "false"}},
+    *(mutation for mutation, _ in _UNKNOWN_KEYS),
 ])
 def test_bad_configs_raise_config_error(tmp_path, mutation):
     doc = _config_doc(tmp_path / "run")
     doc.update(mutation)
     with pytest.raises(ConfigError):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize("mutation, key", _UNKNOWN_KEYS)
+def test_config_error_names_the_unknown_key(tmp_path, mutation, key):
+    doc = _config_doc(tmp_path / "run")
+    doc.update(mutation)
+    with pytest.raises(ConfigError, match=f"unknown .*'{key}'"):
         parse_config(doc)
 
 

@@ -20,7 +20,6 @@ from nicheflow.executor import (
 from nicheflow.genome import InvokingNode, OperatorNode
 from nicheflow.operators import (
     SELFREFINE_STOP_MARKER,
-    default_tool_registry,
     extract_answer_key,
     extract_number,
     render_prompt,
@@ -39,13 +38,13 @@ def _caller(provider, pool, budget=64):
     return _Caller(provider, pool, budget)
 
 
-def _run_kind(kind, pool, replies, budget=64, params=None, tools=None):
+def _run_kind(kind, pool, replies, budget=64, params=None):
     op = build_operator(kind, "op0", ["tiny"] * template_node_count(kind))
     if params:
         op = dataclasses.replace(op, params={**op.params, **params})
     provider = ScriptedProvider(replies)
     caller = _caller(provider, pool, budget)
-    answer = run_operator(op, QUERY.text, "", caller, tools=tools)
+    answer = run_operator(op, QUERY.text, "", caller)
     return answer, caller, provider
 
 
@@ -142,8 +141,7 @@ def test_react_answers_directly_with_one_call(pool):
 
 def test_react_uses_the_eval_tool(pool):
     answer, caller, provider = _run_kind(
-        "ReAct", pool, ["let me compute eval(6*7)", "so the answer is 42"],
-        tools=default_tool_registry(),
+        "ReAct", pool, ["let me compute eval(6*7)", "so the answer is 42"]
     )
     assert caller.count == 2
     assert answer == "so the answer is 42"
@@ -153,16 +151,14 @@ def test_react_uses_the_eval_tool(pool):
 
 def test_react_tool_error_becomes_observation(pool):
     answer, caller, provider = _run_kind(
-        "ReAct", pool, ["try eval(import os)", "answer: 1"],
-        tools=default_tool_registry(),
+        "ReAct", pool, ["try eval(import os)", "answer: 1"]
     )
     assert "tool error" in provider.requests[1].messages[0]["content"]
 
 
 def test_react_caps_iterations(pool):
     answer, caller, _ = _run_kind(
-        "ReAct", pool, ["eval(1+1)"] * 20, tools=default_tool_registry(),
-        params={"max_iterations": 5},
+        "ReAct", pool, ["eval(1+1)"] * 20, params={"max_iterations": 5},
     )
     assert caller.count == 5
 
@@ -178,6 +174,37 @@ def test_custom_operator_runs_intra_dag(pool):
     answer = run_operator(op, "task text", "", caller)
     assert answer == "second out"
     assert "first out" in provider.requests[1].messages[0]["content"]
+
+
+def test_custom_node_sees_outer_context_and_its_predecessors(pool):
+    nodes = (
+        InvokingNode("n0", "tiny", "First. {task} {context}"),
+        InvokingNode("n1", "tiny", "Second. {task} {context}"),
+        InvokingNode("n2", "tiny", "Join. {task} {context}"),
+    )
+    custom = OperatorNode("op1", "Custom", nodes, intra_edges=(("n0", "n2"), ("n1", "n2")))
+    g = build_genome(kinds=("CoT", "Custom"))
+    g = dataclasses.replace(g, operators=(g.operators[0], custom))
+    provider = ScriptedProvider(["upstream", "zero out", "one out", "joined"])
+    trace = execute(g, QUERY, provider, pool)
+    assert (trace.answer, trace.call_count) == ("joined", 4)
+    assert "## Output of op0:\nupstream" in provider.requests[1].messages[0]["content"]
+    assert provider.requests[3].messages[0]["content"] == (
+        "Join. What is 6*7? ## Output of op0:\nupstream\n"
+        "## Output of n0:\nzero out\n## Output of n1:\none out"
+    )
+
+
+def test_custom_operator_rejects_intra_edge_cycle(pool):
+    nodes = (
+        InvokingNode("n0", "tiny", "A. {task} {context}"),
+        InvokingNode("n1", "tiny", "B. {task} {context}"),
+    )
+    op = OperatorNode("op0", "Custom", nodes, intra_edges=(("n0", "n1"), ("n1", "n0")))
+    provider = ScriptedProvider(["x"])
+    with pytest.raises(StructureError, match="operator 'op0'"):
+        run_operator(op, "t", "", _caller(provider, pool))
+    assert provider.requests == []
 
 
 def test_run_operator_rejects_bad_arity(pool):
@@ -222,14 +249,16 @@ def test_execute_total_cost_is_sum_of_call_costs(pool, sim_provider):
     g = build_genome(kinds=("Debate", "CoT"), model="mid")
     query = TaskQuery("q", "solve " + make_task_envelope("q", "easy", "5"),
                       domain="easy", gold="5", metric="numeric")
-    trace = execute(g, query, sim_provider, pool)
+    recording = _Recording(sim_provider)
+    trace = execute(g, query, recording, pool)
     probe = ChatRequest(model_id="mid", messages=({"role": "user", "content": "x"},))
     per_call = call_cost(sim_provider.chat(probe), pool.get("mid"))
-    assert trace.call_count == 8
+    assert trace.call_count == len(recording.requests) == 8
     assert trace.total_cost == pytest.approx(8 * per_call, abs=1e-15)
-    assert trace.total_cost == pytest.approx(
-        sum(c.cost for r in trace.records for c in r.calls), abs=1e-18
-    )
+    expected_total = 0.0
+    for req in recording.requests:  # same left-to-right accumulation as the meter
+        expected_total += call_cost(sim_provider.chat(req), pool.get(req.model_id))
+    assert trace.total_cost == expected_total
 
 
 class _Recording:

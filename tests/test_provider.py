@@ -14,7 +14,6 @@ from nicheflow.provider import (
     call_cost,
     make_task_envelope,
     parse_task_envelope,
-    strip_task_envelope,
 )
 
 from conftest import SIM_PROFILES, ScriptedProvider
@@ -62,7 +61,6 @@ def test_call_cost_per_million_tokens():
 def test_task_envelope_round_trip():
     env = make_task_envelope("q-1", "easy", "42")
     assert parse_task_envelope(f"Compute stuff. {env}") == ("q-1", "easy", "42")
-    assert strip_task_envelope(f"Compute stuff. {env}") == "Compute stuff."
     assert parse_task_envelope("no envelope here") is None
 
 
