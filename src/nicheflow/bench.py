@@ -194,7 +194,3 @@ def call_count_tier(count: int) -> str:
     if count <= 8:
         return "medium"
     return "complex"
-
-
-def population_tiers(pop: Population) -> set[str]:
-    return {call_count_tier(nominal_call_count(m)) for m in pop.members}

@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from . import canonical
 from .bench import export_front, generate_suite, interleave_tasks, population_hypervolume
 from .config import RunConfig, load_config
-from .errors import ConfigError, NicheflowError, ProviderError, StorageError
+from .errors import BudgetExceeded, ConfigError, NicheflowError, ProviderError, StorageError
 from .evolution import EvolveDeps, Population, evolve_step, infer, init_population
 from .executor import TaskQuery, evaluate
 from .memory import LlmExperiencePool, WorkflowExperiencePool
@@ -134,10 +135,7 @@ def cmd_bench(cfg: RunConfig, suite_path) -> dict:
             canonical.dumps(
                 {
                     "seed": suite.seed,
-                    "domains": [
-                        {"label": d.label, "difficulty": d.difficulty}
-                        for d in suite.domains
-                    ],
+                    "domains": [asdict(d) for d in suite.domains],
                     "tasks": [
                         {
                             "query_id": t.query_id,
@@ -156,16 +154,22 @@ def cmd_bench(cfg: RunConfig, suite_path) -> dict:
     embedder, provider, pool = cfg.make_embedder(), cfg.make_provider(), cfg.model_pool()
     total_perf = 0.0
     total_cost = 0.0
+    over_budget = 0
     for task in tasks:
-        _, trace = infer(
-            pop, task, embedder, provider, pool, call_budget=cfg.evolution.call_budget,
-        )
-        total_perf += evaluate(trace.answer, task) if task.gold else 0.0
-        total_cost += trace.total_cost
+        try:
+            _, trace = infer(
+                pop, task, embedder, provider, pool, call_budget=cfg.evolution.call_budget,
+            )
+            total_perf += evaluate(trace.answer, task) if task.gold else 0.0
+            total_cost += trace.total_cost
+        except BudgetExceeded as e:  # an over-budget member scores zero but pays for its calls
+            over_budget += 1
+            total_cost += e.partial_cost
     report = {
         "tasks": len(tasks),
         "mean_perf": total_perf / len(tasks) if tasks else 0.0,
         "total_cost": total_cost,
+        "over_budget": over_budget,
         "suite": str(suite_path),
     }
     (cfg.run_dir / "bench_report.json").write_text(

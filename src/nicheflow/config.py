@@ -100,7 +100,6 @@ _HYPERPARAMETERS = {
     "call_budget": int,
     "retries": int,
     "skip_edge_prob": float,
-    "success_threshold": float,
     "llm_evolution": _flag,
     "evolver_model": _same,
 }

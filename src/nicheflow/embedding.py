@@ -8,7 +8,7 @@ hashing), so the whole evolutionary loop is testable with zero network access.
 import hashlib
 import re
 import threading
-from typing import Optional, Protocol
+from typing import Optional
 
 import numpy as np
 
@@ -19,12 +19,6 @@ from .templates import TAG_GENERATION_PROMPT
 
 DEFAULT_DIM = 384
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
-
-
-class Embedder(Protocol):
-    backend_id: str
-
-    def embed(self, text: str) -> np.ndarray: ...
 
 
 def _check_unit(vec: np.ndarray) -> np.ndarray:
@@ -48,7 +42,6 @@ class HashingEmbedder:
         if dim < 2:
             raise InvalidInput("embedding dimension must be >= 2")
         self.dim = dim
-        self.backend_id = f"hash3-{dim}"
         self._cache: dict[str, np.ndarray] = {}
         self._lock = threading.Lock()
 
@@ -91,12 +84,9 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v))
 
 
-def tag_vectors(genome: WorkflowGenome, embedder: Embedder) -> tuple[np.ndarray, ...]:
-    return tuple(embedder.embed(tag) for tag in genome.tags)
-
-
-def with_tag_vectors(genome: WorkflowGenome, embedder: Embedder) -> WorkflowGenome:
-    return genome.with_tags(genome.tags, tag_vectors=tag_vectors(genome, embedder))
+def with_tag_vectors(genome: WorkflowGenome, embedder: HashingEmbedder) -> WorkflowGenome:
+    vectors = tuple(embedder.embed(tag) for tag in genome.tags)
+    return genome.with_tags(genome.tags, tag_vectors=vectors)
 
 
 def similarity_score(genome: WorkflowGenome, query_vec: np.ndarray) -> float:

@@ -7,14 +7,14 @@ selection, the per-query evolution step, and inference-time retrieval.
 import json
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import embedding as emb
 from .errors import BudgetExceeded, ConfigError
-from .executor import TaskQuery, evaluate, execute
+from .executor import DEFAULT_CALL_BUDGET, TaskQuery, evaluate, execute
 from .genome import (
     InvokingNode,
     ModelPool,
@@ -57,11 +57,10 @@ class EvolutionConfig:
     rho_llm: float = 0.3
     rho_prompt: float = 0.3
     m_max: int = 4
-    call_budget: int = 64
+    call_budget: int = DEFAULT_CALL_BUDGET
     retries: int = 3
     skip_edge_prob: float = 0.25
     mutation_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)  # add/delete/rewire
-    success_threshold: float = 1.0
     llm_evolution: bool = False
     evolver_model: Optional[str] = None
 
@@ -476,15 +475,12 @@ def _llm_rewrite_prompt(node, genome, wf_pool, evolver: Evolver) -> Optional[str
 def mutate_operator(
     genome: WorkflowGenome,
     rng: np.random.Generator,
+    pool: ModelPool,
+    cfg: EvolutionConfig,
     repo: Sequence[str] = DEFAULT_OPERATOR_REPO,
-    pool: Optional[ModelPool] = None,
-    cfg: Optional[EvolutionConfig] = None,
 ) -> WorkflowGenome:
     """Add an operator, delete a non-sink operator, or rewire one inter-edge;
     any result failing validation is discarded."""
-    cfg = cfg or EvolutionConfig()
-    if pool is None:
-        raise ConfigError("mutate_operator requires the model pool")
     weights = np.asarray(cfg.mutation_weights, dtype=float)
     weights = weights / weights.sum()
     action = int(rng.choice(3, p=weights))
@@ -697,14 +693,7 @@ class StepReport:
     evaluations: dict[str, dict[str, float]]
 
     def to_doc(self) -> dict:
-        return {
-            "generation": self.generation,
-            "query_id": self.query_id,
-            "offspring_id": self.offspring_id,
-            "accepted": self.accepted,
-            "eliminated_id": self.eliminated_id,
-            "evaluations": self.evaluations,
-        }
+        return asdict(self)
 
 
 def evolve_step(
@@ -770,7 +759,7 @@ def evolve_step(
             new_genome = update_stats(genome, cost, perf)
             updated[new_genome.workflow_id] = new_genome
             evaluations[new_genome.workflow_id] = {"perf": perf, "cost": cost}
-            _append_experience(deps, new_genome, query, perf, cost, cfg)
+            _append_experience(deps, new_genome, query, perf, cost)
 
     for wid, genome in updated.items():
         if wid in pop.ids:
@@ -795,8 +784,8 @@ def evolve_step(
     return new_pop, report
 
 
-def _append_experience(deps, genome, query, perf, cost, cfg) -> None:
-    verdict = verdict_from_perf(perf, cfg.success_threshold)
+def _append_experience(deps, genome, query, perf, cost) -> None:
+    verdict = verdict_from_perf(perf)
     kinds = [op.kind for op in genome.operators]
     if deps.wf_pool is not None:
         deps.wf_pool.append(
@@ -866,7 +855,8 @@ def infer(
     pool: ModelPool,
     mode: str = "best",
     budget: Optional[float] = None,
-    call_budget: int = 64,
+    *,
+    call_budget: int,
 ):
     ensure_tag_vectors(pop, embedder)
     query_vec = embedder.embed(query.text)

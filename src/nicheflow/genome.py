@@ -59,9 +59,6 @@ class ModelPool:
     def model_ids(self) -> list[str]:
         return sorted(self._specs)
 
-    def specs(self) -> list[ModelSpec]:
-        return [self._specs[m] for m in self.model_ids]
-
 
 @dataclass(frozen=True)
 class InvokingNode:

@@ -17,8 +17,7 @@ from typing import Iterable, Optional, TextIO
 from . import canonical
 from .errors import InvalidInput
 
-VERDICTS = ("Positive", "Negative", "None")
-DEFAULT_SUCCESS_THRESHOLD = 1.0
+VERDICTS = ("Positive", "Negative")
 
 
 @dataclass(frozen=True)
@@ -26,7 +25,7 @@ class LlmExperienceRecord:
     model_id: str
     workflow_id: str
     query_id: str
-    verdict: str  # Positive | Negative | None ("None" = model made no calls)
+    verdict: str  # Positive | Negative
     commentary: str
     domain: str
 
@@ -46,7 +45,7 @@ class WorkflowExperienceRecord:
     domain: str = "general"
 
     def __post_init__(self):
-        if self.verdict not in ("Positive", "Negative"):
+        if self.verdict not in VERDICTS:
             raise InvalidInput(f"bad verdict {self.verdict!r}")
 
 
@@ -54,17 +53,16 @@ class WorkflowExperienceRecord:
 class ExperienceSummary:
     positive_count: int = 0
     negative_count: int = 0
-    none_count: int = 0
     recent_commentaries: list[str] = field(default_factory=list)
 
     @property
     def positive_rate(self) -> float:
-        """Laplace-smoothed success rate over decisive verdicts."""
+        """Laplace-smoothed success rate."""
         return (self.positive_count + 1) / (self.positive_count + self.negative_count + 2)
 
 
-def verdict_from_perf(perf: float, threshold: float = DEFAULT_SUCCESS_THRESHOLD) -> str:
-    return "Positive" if perf >= threshold else "Negative"
+def verdict_from_perf(perf: float) -> str:
+    return "Positive" if perf >= 1.0 else "Negative"
 
 
 def default_commentary(model_id: str, verdict: str, domain: str, kinds: Iterable[str]) -> str:
@@ -93,10 +91,8 @@ class _ExperiencePool:
             summary = self._summaries.setdefault(summary_key, ExperienceSummary())
             if doc["verdict"] == "Positive":
                 summary.positive_count += 1
-            elif doc["verdict"] == "Negative":
-                summary.negative_count += 1
             else:
-                summary.none_count += 1
+                summary.negative_count += 1
             summary.recent_commentaries.append(doc["commentary"])
             del summary.recent_commentaries[:-10]
 

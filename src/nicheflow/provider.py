@@ -161,7 +161,7 @@ class SimulatedProvider:
     def _uniform(self, req: ChatRequest) -> float:
         material = f"{self.seed}|{req.digest()}".encode("utf-8")
         digest = hashlib.blake2b(material, digest_size=8).digest()
-        return int.from_bytes(digest, "big") / 2**64
+        return int.from_bytes(digest, "big") / 256 ** len(digest)
 
     def chat(self, req: ChatRequest) -> ChatResponse:
         profile = self.profiles.get(req.model_id)

@@ -1,9 +1,9 @@
 """Population snapshots and run-directory bookkeeping.
 
 A snapshot is a directory of one canonical genome document per member plus a
-manifest carrying the generation, seed, and config hash. Saves are atomic
-(write to a sibling temp dir, then swap) so an interrupted checkpoint never
-corrupts the previous one.
+manifest carrying the generation, seed, and config hash. A save writes a temp
+dir, moves the previous snapshot aside to ``population.old`` and only then
+installs the new one, so a crash never leaves less than one whole snapshot.
 """
 
 import json
@@ -21,9 +21,9 @@ def save_population(pop: Population, run_dir, config_hash: str = "") -> Path:
     run_dir = Path(run_dir)
     target = run_dir / "population"
     tmp = run_dir / "population.tmp"
+    old = run_dir / "population.old"
     try:
-        if tmp.exists():
-            shutil.rmtree(tmp)
+        shutil.rmtree(tmp, ignore_errors=True)
         tmp.mkdir(parents=True)
         member_ids = sorted(m.workflow_id for m in pop.members)
         for m in pop.members:
@@ -36,8 +36,10 @@ def save_population(pop: Population, run_dir, config_hash: str = "") -> Path:
         }
         (tmp / "manifest.json").write_text(canonical.dumps(manifest), encoding="utf-8")
         if target.exists():
-            shutil.rmtree(target)
+            shutil.rmtree(old, ignore_errors=True)
+            os.replace(target, old)
         os.replace(tmp, target)
+        shutil.rmtree(old, ignore_errors=True)
     except OSError as e:
         raise StorageError(f"cannot save snapshot under {run_dir}: {e}") from e
     return target
@@ -45,6 +47,8 @@ def save_population(pop: Population, run_dir, config_hash: str = "") -> Path:
 
 def load_population(run_dir) -> tuple[Population, str]:
     target = Path(run_dir) / "population"
+    if not target.exists() and target.with_suffix(".old").exists():
+        target = target.with_suffix(".old")  # a save crashed between its two renames
     try:
         manifest = json.loads((target / "manifest.json").read_text(encoding="utf-8"))
         members = [
@@ -65,20 +69,34 @@ def load_population(run_dir) -> tuple[Population, str]:
 
 
 class RunLock:
-    """Exclusive advisory lock preventing concurrent writers of one run dir."""
+    """Exclusive advisory lock preventing concurrent writers of one run dir. The
+    lock holds its holder's pid; a lock whose holder is gone (killed) is cleared."""
 
     def __init__(self, run_dir):
         self.path = Path(run_dir) / ".lock"
 
     def __enter__(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise StorageError(f"run directory is locked: {self.path}") from None
+        for attempt in range(2):
+            try:
+                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                if attempt or not self._holder_is_gone():
+                    raise StorageError(f"run directory is locked: {self.path}") from None
+                self.path.unlink(missing_ok=True)
         with os.fdopen(fd, "w") as fh:
             fh.write(str(os.getpid()))
         return self
+
+    def _holder_is_gone(self) -> bool:
+        try:
+            os.kill(int(self.path.read_text(encoding="utf-8")), 0)  # POSIX: sends nothing
+        except (ProcessLookupError, FileNotFoundError):  # no such process, or lock released
+            return True
+        except (OSError, ValueError, OverflowError):  # unreadable, or no pid written yet
+            pass
+        return False
 
     def __exit__(self, *exc):
         try:

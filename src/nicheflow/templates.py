@@ -68,19 +68,14 @@ PROMPT_EDITS = (
 )
 
 
-def build_operator(kind: str, op_id: str, model_ids: list[str], temperature: float = 1.0) -> OperatorNode:
+def build_operator(kind: str, op_id: str, model_ids: list[str]) -> OperatorNode:
     """Instantiate an operator template with one model id per node."""
     spec = OPERATORS[kind]
     prompts = spec.prompts
     if len(model_ids) != len(prompts):
         raise ValueError(f"kind {kind} needs {len(prompts)} model ids, got {len(model_ids)}")
     nodes = tuple(
-        InvokingNode(
-            node_id=f"{op_id}.n{i}",
-            model_id=model_ids[i],
-            prompt=prompts[i],
-            temperature=temperature,
-        )
+        InvokingNode(node_id=f"{op_id}.n{i}", model_id=model_ids[i], prompt=prompts[i])
         for i in range(len(prompts))
     )
     edges = tuple(

@@ -16,7 +16,6 @@ from nicheflow.bench import (
     pareto_front,
     population_hypervolume,
     population_points,
-    population_tiers,
 )
 from nicheflow.errors import ConfigError, InvalidInput
 from nicheflow.evolution import ObjectivePoint, Population, dominates
@@ -262,12 +261,3 @@ def test_call_count_tiers():
     assert call_count_tier(3) == "medium"
     assert call_count_tier(8) == "medium"
     assert call_count_tier(9) == "complex"
-
-
-def test_population_tiers():
-    pop = Population(members=[
-        build_genome(kinds=("CoT",)),
-        build_genome(kinds=("Ensemble",)),
-        build_genome(kinds=("Debate", "SelfConsistency")),
-    ])
-    assert population_tiers(pop) == {"simple", "medium", "complex"}

@@ -1,15 +1,22 @@
+import dataclasses
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from nicheflow import cli
+from nicheflow import cli, config, snapshot
+from nicheflow.bench import DomainSpec
 from nicheflow.cli import main
 from nicheflow.config import load_config, parse_config
 from nicheflow.errors import ConfigError, StorageError
-from nicheflow.evolution import Population
+from nicheflow.evolution import EvolutionConfig, Population
+from nicheflow.genome import ModelSpec
 from nicheflow.memory import LlmExperiencePool, WorkflowExperiencePool
+from nicheflow.provider import SimModelProfile
 from nicheflow.snapshot import RunLock, load_population, save_population
 
 from test_acceptance import _cli_config_doc
@@ -94,6 +101,7 @@ _UNKNOWN_KEYS = [
     ({"suite": {"tasks_per_domian": 3}}, "tasks_per_domian"),
     ({"models": [{**_TINY, "size_params": 7}]}, "size_params"),
     ({"suite": {"domains": [{"label": "x", "difficulty": 0.3, "weight": 2}]}}, "weight"),
+    ({"hyperparameters": {"success_threshold": 0.5}}, "success_threshold"),
 ]
 
 
@@ -121,6 +129,19 @@ def test_config_error_names_the_unknown_key(tmp_path, mutation, key):
     doc.update(mutation)
     with pytest.raises(ConfigError, match=f"unknown .*'{key}'"):
         parse_config(doc)
+
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_config_keys_match_the_dataclass_fields():
+    """A field deleted from a dataclass cannot outlive its config key, nor the
+    reverse."""
+    assert set(config._HYPERPARAMETERS) == _field_names(EvolutionConfig) - {"mutation_weights"}
+    assert set(config._MODEL_KEYS) == _field_names(ModelSpec) | {"sim"}
+    assert set(config._SIM_KEYS) == _field_names(SimModelProfile) - {"model_id"}
+    assert set(config._DOMAIN_KEYS) == _field_names(DomainSpec)
 
 
 def test_load_config_missing_file_and_bad_json(tmp_path):
@@ -165,6 +186,40 @@ def test_snapshot_round_trip(tmp_path, pool, embedder):
     assert not cmp.diff_files and not cmp.left_only and not cmp.right_only
 
 
+def test_snapshot_survives_a_save_that_fails_to_install(tmp_path, pool, embedder, monkeypatch):
+    import numpy as np
+
+    from nicheflow.evolution import init_population
+    from nicheflow.templates import DEFAULT_OPERATOR_REPO
+
+    pop = init_population(EvolutionConfig(population_size=5), DEFAULT_OPERATOR_REPO,
+                          pool, embedder, np.random.default_rng([1, 0]), seed=1)
+    pop.generation = 4
+    save_population(pop, tmp_path, config_hash="abc")
+    saved = {p.name: p.read_bytes() for p in (tmp_path / "population").iterdir()}
+    replace = os.replace
+
+    def crash_on_install(src, dst):
+        if Path(src).name == "population.tmp":
+            raise OSError("crash")
+        replace(src, dst)
+
+    monkeypatch.setattr(snapshot.os, "replace", crash_on_install)
+    pop.generation = 5
+    with pytest.raises(StorageError):
+        save_population(pop, tmp_path, config_hash="abc")
+    assert not (tmp_path / "population").exists()
+    loaded, config_hash = load_population(tmp_path)
+    assert (loaded.generation, config_hash) == (4, "abc")
+
+    # the next save installs its snapshot and removes the one set aside
+    monkeypatch.setattr(snapshot.os, "replace", replace)
+    pop.generation = 4
+    save_population(pop, tmp_path, config_hash="abc")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["population"]
+    assert {p.name: p.read_bytes() for p in (tmp_path / "population").iterdir()} == saved
+
+
 def test_load_population_missing_dir_is_storage_error(tmp_path):
     with pytest.raises(StorageError):
         load_population(tmp_path / "void")
@@ -185,6 +240,16 @@ def test_run_lock_excludes_second_writer(tmp_path):
     # released on exit
     with RunLock(tmp_path):
         pass
+
+
+def test_run_lock_clears_a_lock_whose_holder_is_gone(tmp_path):
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped: no process has its pid any more
+    lock = tmp_path / ".lock"
+    lock.write_text(str(child.pid))
+    with RunLock(tmp_path):
+        assert lock.read_text() == str(os.getpid())
+    assert not lock.exists()
 
 
 # --- CLI commands -------------------------------------------------------------------------
@@ -326,6 +391,21 @@ def test_cli_bench_generates_suite_and_report(tmp_path, capsys):
     assert main(["--config", str(path), "bench", "--suite", str(suite_path)]) == 0
     report2 = json.loads(capsys.readouterr().out)
     assert report2["tasks"] == 20
+
+
+def test_cli_bench_scores_an_over_budget_member_zero(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    doc = _cli_config_doc(run_dir)
+    doc["hyperparameters"] = {"call_budget": 4}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "init"]) == 0
+    capsys.readouterr()
+    assert main(["--config", str(path), "bench", "--suite", str(tmp_path / "suite.json")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert 0 < report["over_budget"] < report["tasks"] == 40
+    assert report["total_cost"] > 0
+    assert json.loads((run_dir / "bench_report.json").read_text()) == report
 
 
 def test_cli_exit_code_for_bad_config(tmp_path, capsys):

@@ -912,7 +912,7 @@ def test_infer_runs_the_chosen_workflow(pool, sim_provider, embedder):
     cfg = EvolutionConfig(population_size=5)
     pop = init_population(cfg, DEFAULT_OPERATOR_REPO, pool, embedder,
                           np.random.default_rng([30, 0]))
-    genome, trace = infer(pop, _task(), embedder, sim_provider, pool)
+    genome, trace = infer(pop, _task(), embedder, sim_provider, pool, call_budget=cfg.call_budget)
     assert genome.workflow_id in pop.ids
     assert trace.call_count >= 1
     assert trace.answer

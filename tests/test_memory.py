@@ -29,12 +29,13 @@ def _llm_rec(model="m1", domain="easy", verdict="Positive", i=0):
 def test_verdict_from_perf_threshold():
     assert verdict_from_perf(1.0) == "Positive"
     assert verdict_from_perf(0.99) == "Negative"
-    assert verdict_from_perf(0.5, threshold=0.5) == "Positive"
 
 
 def test_records_validate_verdict():
     with pytest.raises(InvalidInput):
         _llm_rec(verdict="Maybe")
+    with pytest.raises(InvalidInput):
+        _llm_rec(verdict="None")
     with pytest.raises(InvalidInput):
         WorkflowExperienceRecord("w", "q", "None", "c", 0.0, 0.0)
 
@@ -44,23 +45,15 @@ def test_llm_pool_counts_and_positive_rate():
     for v in ["Positive", "Positive", "Positive", "Negative"]:
         pool.append(_llm_rec(verdict=v))
     s = pool.query_summary("m1", "easy")
-    assert (s.positive_count, s.negative_count, s.none_count) == (3, 1, 0)
+    assert (s.positive_count, s.negative_count) == (3, 1)
     assert s.positive_rate == pytest.approx((3 + 1) / (3 + 1 + 2))
 
 
 def test_unseen_key_is_all_zeros():
     pool = LlmExperiencePool()
     s = pool.query_summary("ghost", "easy")
-    assert (s.positive_count, s.negative_count, s.none_count) == (0, 0, 0)
+    assert (s.positive_count, s.negative_count) == (0, 0)
     assert s.positive_rate == pytest.approx(0.5)  # smoothed prior
-
-
-def test_none_verdicts_are_counted_separately():
-    pool = LlmExperiencePool()
-    pool.append(_llm_rec(verdict="None"))
-    s = pool.query_summary("m1", "easy")
-    assert s.none_count == 1
-    assert s.positive_rate == pytest.approx(0.5)
 
 
 def test_domain_filter_and_all_domains():
@@ -80,7 +73,7 @@ def test_summary_matches_brute_force_on_random_log():
     for i in range(500):
         model = f"m{int(rng.integers(4))}"
         domain = ["easy", "hard"][int(rng.integers(2))]
-        verdict = ["Positive", "Negative", "None"][int(rng.integers(3))]
+        verdict = ["Positive", "Negative"][int(rng.integers(2))]
         pool.append(_llm_rec(model=model, domain=domain, verdict=verdict, i=i))
         log.append((model, domain, verdict))
     for model in [f"m{i}" for i in range(4)]:
@@ -92,7 +85,6 @@ def test_summary_matches_brute_force_on_random_log():
             s = pool.query_summary(model, domain)
             assert s.positive_count == rows.count("Positive")
             assert s.negative_count == rows.count("Negative")
-            assert s.none_count == rows.count("None")
 
 
 def test_recent_commentaries_keep_last_ten():
