@@ -125,11 +125,7 @@ def structural_tags(genome: WorkflowGenome, pool: ModelPool, kappa: int = 5) -> 
     models = sorted(
         {n.model_id for op in genome.operators for n in op.invoking_nodes}
     )
-    prices = [
-        pool.get(m).prompt_price + pool.get(m).completion_price
-        for m in models
-        if m in pool
-    ]
+    prices = [pool.get(m).unit_price for m in models if m in pool]
     avg_price = sum(prices) / len(prices) if prices else 0.0
     tier = "budget tier" if avg_price < 1.0 else "premium tier"
     candidates = (

@@ -77,17 +77,26 @@ class EvolutionConfig:
             raise ConfigError("phi must be > 0")
         if self.m_max < 1:
             raise ConfigError("m_max must be >= 1")
+        if self.call_budget < 1:
+            raise ConfigError("call_budget must be >= 1")
+        if self.retries < 1:
+            raise ConfigError("retries must be >= 1")
+        for name in ("rho_llm", "rho_prompt", "skip_edge_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1]")
 
 
 def make_evolver(cfg: EvolutionConfig, provider, pool: ModelPool) -> Optional[Evolver]:
     """The model that crossover, model pick, prompt rewrite and tagging ask,
     or None when ``llm_evolution`` is off or there is no provider, in which
     case every route takes its rule-based path. ``evolver_model`` defaults to
-    the pool's alphabetically first model id; one that names no pool model is
-    a ``ConfigError``."""
+    the pool's cheapest model by ``unit_price``, the lower id on a tie; one
+    that names no pool model is a ``ConfigError``."""
     if not cfg.llm_evolution or provider is None:
         return None
-    model_id = cfg.evolver_model or pool.model_ids[0]
+    model_id = cfg.evolver_model or min(
+        pool.model_ids, key=lambda m: (pool.get(m).unit_price, m)
+    )
     if model_id not in pool:
         raise ConfigError(f"evolver_model {model_id!r} names no pool model")
     return Evolver(provider, model_id, cfg.retries)

@@ -28,6 +28,11 @@ class ModelSpec:
     completion_price: float
     latency_hint: float = 0.0
 
+    @property
+    def unit_price(self) -> float:
+        """Prompt plus completion price: the figure models are ranked by."""
+        return self.prompt_price + self.completion_price
+
 
 class ModelPool:
     """Registry of model specs keyed by model_id."""

@@ -12,7 +12,7 @@ import shutil
 from pathlib import Path
 
 from . import canonical
-from .errors import StorageError
+from .errors import GenomeParseError, StorageError
 from .evolution import Population
 from .genome import deserialize, serialize
 
@@ -51,10 +51,7 @@ def load_population(run_dir) -> tuple[Population, str]:
         target = target.with_suffix(".old")  # a save crashed between its two renames
     try:
         manifest = json.loads((target / "manifest.json").read_text(encoding="utf-8"))
-        members = [
-            deserialize((target / f"{wid}.json").read_text(encoding="utf-8"))
-            for wid in manifest["members"]
-        ]
+        members = [_load_member(target / f"{wid}.json") for wid in manifest["members"]]
         pop = Population(
             members=members,
             generation=int(manifest["generation"]),
@@ -66,6 +63,13 @@ def load_population(run_dir) -> tuple[Population, str]:
     except (ValueError, KeyError, TypeError) as e:
         raise StorageError(f"corrupt snapshot under {run_dir}: {e!r}") from e
     return pop, config_hash
+
+
+def _load_member(path: Path):
+    try:
+        return deserialize(path.read_text(encoding="utf-8"))
+    except (GenomeParseError, ValueError, KeyError, TypeError) as e:
+        raise StorageError(f"corrupt snapshot member {path}: {e}") from e
 
 
 class RunLock:

@@ -102,6 +102,18 @@ class ScriptedProvider:
         )
 
 
+class RecordingProvider:
+    """Pass-through to another backend that records every request."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.requests = []
+
+    def chat(self, req):
+        self.requests.append(req)
+        return self.inner.chat(req)
+
+
 def unit_vec(dim, angle_cos, rng=None):
     """2-sparse unit vector with a chosen cosine against e0."""
     v = np.zeros(dim)

@@ -104,6 +104,19 @@ _UNKNOWN_KEYS = [
     ({"hyperparameters": {"success_threshold": 0.5}}, "success_threshold"),
 ]
 
+# A hyperparameter outside its range, and its name.
+_OUT_OF_RANGE = [
+    ({"hyperparameters": {"retries": 0}}, "retries"),
+    ({"hyperparameters": {"retries": -1}}, "retries"),
+    ({"hyperparameters": {"call_budget": 0}}, "call_budget"),
+    ({"hyperparameters": {"rho_llm": -0.1}}, "rho_llm"),
+    ({"hyperparameters": {"rho_llm": 1.5}}, "rho_llm"),
+    ({"hyperparameters": {"rho_prompt": -0.1}}, "rho_prompt"),
+    ({"hyperparameters": {"rho_prompt": 1.5}}, "rho_prompt"),
+    ({"hyperparameters": {"skip_edge_prob": -0.1}}, "skip_edge_prob"),
+    ({"hyperparameters": {"skip_edge_prob": 1.5}}, "skip_edge_prob"),
+]
+
 
 @pytest.mark.parametrize("mutation", [
     {"backend": "quantum"},
@@ -115,11 +128,20 @@ _UNKNOWN_KEYS = [
     {"hyperparameters": {"popultion_size": 8}},
     {"hyperparameters": {"llm_evolution": "false"}},
     *(mutation for mutation, _ in _UNKNOWN_KEYS),
+    *(mutation for mutation, _ in _OUT_OF_RANGE),
 ])
 def test_bad_configs_raise_config_error(tmp_path, mutation):
     doc = _config_doc(tmp_path / "run")
     doc.update(mutation)
     with pytest.raises(ConfigError):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize("mutation, field", _OUT_OF_RANGE)
+def test_config_error_names_the_out_of_range_field(tmp_path, mutation, field):
+    doc = _config_doc(tmp_path / "run")
+    doc.update(mutation)
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
         parse_config(doc)
 
 
@@ -446,3 +468,16 @@ def test_cli_exit_code_for_corrupt_manifest(tmp_path, capsys, command):
     manifest.write_text(manifest.read_text()[:20])
     assert main(["--config", str(path)] + command) == 4
     assert "storage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["front"], ["infer", "--query", "Compute 2 + 2."],
+                                     ["evolve", "--steps", "1"]])
+def test_cli_exit_code_for_corrupt_member_file(tmp_path, capsys, command):
+    path, run_dir = _write_config(tmp_path)
+    assert main(["--config", str(path), "init"]) == 0
+    member = sorted((run_dir / "population").glob("*.json"))[0]
+    assert member.name != "manifest.json"
+    member.write_text(member.read_text()[:40])
+    assert main(["--config", str(path)] + command) == 4
+    err = capsys.readouterr().err
+    assert "storage error" in err and member.name in err

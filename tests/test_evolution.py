@@ -35,12 +35,12 @@ from nicheflow.evolution import (
     update_stats,
 )
 from nicheflow.executor import TaskQuery
-from nicheflow.genome import RunStats, content_hash, serialize, validate
+from nicheflow.genome import ModelPool, ModelSpec, RunStats, content_hash, serialize, validate
 from nicheflow.memory import LlmExperiencePool, LlmExperienceRecord
 from nicheflow.provider import Evolver, make_task_envelope, parse_task_envelope
 from nicheflow.templates import DEFAULT_OPERATOR_REPO
 
-from conftest import ScriptedProvider, build_genome, unit_vec
+from conftest import MODEL_SPECS, RecordingProvider, ScriptedProvider, build_genome, unit_vec
 
 
 # --- helpers / oracles -----------------------------------------------------------
@@ -785,21 +785,11 @@ def test_evolve_step_is_deterministic(pool, embedder):
     assert results[0] == results[1]
 
 
-class _RecordingProvider:
-    def __init__(self, inner):
-        self.inner = inner
-        self.requests = []
-
-    def chat(self, req):
-        self.requests.append(req)
-        return self.inner.chat(req)
-
-
 @pytest.mark.parametrize("llm_evolution", [True, False])
 def test_evolve_step_asks_the_configured_evolver_only_when_enabled(
     pool, sim_provider, embedder, llm_evolution
 ):
-    provider = _RecordingProvider(sim_provider)
+    provider = RecordingProvider(sim_provider)
     deps = _make_deps(pool, provider, embedder,
                       llm_evolution=llm_evolution, evolver_model="tiny")
     pop = init_population(deps.cfg, DEFAULT_OPERATOR_REPO, pool, embedder,
@@ -822,6 +812,24 @@ def test_make_evolver_rejects_an_evolver_model_outside_the_pool(pool, sim_provid
     assert make_evolver(dataclasses.replace(cfg, llm_evolution=False), sim_provider, pool) is None
     assert make_evolver(dataclasses.replace(cfg, evolver_model="tiny"),
                         sim_provider, pool).model_id == "tiny"
+
+
+_TIED_SPECS = [
+    ModelSpec("a", prompt_price=9.0, completion_price=9.0),
+    ModelSpec("c", prompt_price=1.0, completion_price=2.0),
+    ModelSpec("b", prompt_price=2.0, completion_price=1.0),
+]
+
+
+@pytest.mark.parametrize("specs, evolver_model, expected", [
+    (MODEL_SPECS, None, "tiny"),  # not "big", the first id and the dearest
+    (_TIED_SPECS, None, "b"),  # "b" and "c" tie on price; "a" sorts first
+    (MODEL_SPECS, "big", "big"),  # an explicit choice wins
+])
+def test_make_evolver_defaults_to_the_cheapest_model(sim_provider, specs, evolver_model,
+                                                     expected):
+    cfg = EvolutionConfig(llm_evolution=True, evolver_model=evolver_model)
+    assert make_evolver(cfg, sim_provider, ModelPool(specs)).model_id == expected
 
 
 def test_evolve_step_updates_executed_stats(pool, sim_provider, embedder):

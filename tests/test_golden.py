@@ -19,10 +19,16 @@ from nicheflow.embedding import HashingEmbedder
 from nicheflow.evolution import EvolutionConfig, EvolveDeps, evolve_step, init_population
 from nicheflow.genome import ModelPool, serialize
 from nicheflow.memory import LlmExperiencePool, WorkflowExperiencePool
-from nicheflow.provider import SimulatedProvider
+from nicheflow.provider import SimulatedProvider, parse_task_envelope
 from nicheflow.templates import DEFAULT_OPERATOR_REPO
 
-from conftest import MODEL_SPECS, SIM_PROFILES, InFlightProvider, library_setup
+from conftest import (
+    MODEL_SPECS,
+    SIM_PROFILES,
+    InFlightProvider,
+    RecordingProvider,
+    library_setup,
+)
 from test_acceptance import _cli_config_doc
 
 CLI_RUN_SHA256 = "8d73cbb104bd7d67c935fdd28117fe1ab4aaf47958a2fe24fecd228992ebb796"
@@ -94,3 +100,25 @@ def test_llm_route_run_keeps_its_bytes_with_members_in_flight():
     chunks += [(m.workflow_id, serialize(m).encode("utf-8")) for m in pop.members]
     assert _digest(chunks) == LLM_RUN_SHA256
     assert provider.peak >= 2
+
+
+def test_llm_route_run_asks_the_cheapest_model():
+    """The pinned 16-step run, counting its evolver requests (those without a
+    task envelope). With ``evolver_model`` unset they all go to ``tiny``, the
+    pool's cheapest model; 263 is the count when they went to ``big``, so no
+    request was added or dropped, only its model moved."""
+    seed, steps = 3, 16
+    provider = RecordingProvider(SimulatedProvider(SIM_PROFILES, seed=seed))
+    pop, deps, tasks = library_setup(
+        EvolutionConfig(llm_evolution=True), provider, seed,
+        llm_pool=LlmExperiencePool(), wf_pool=WorkflowExperiencePool(),
+    )
+    for step in range(steps):
+        pop, _ = evolve_step(pop, tasks[step % len(tasks)], deps,
+                             np.random.default_rng([seed, 1000 + step]))
+    evolver_models = [
+        r.model_id for r in provider.requests
+        if parse_task_envelope(r.messages[0]["content"]) is None
+    ]
+    assert set(evolver_models) == {"tiny"}
+    assert len(evolver_models) == 263
