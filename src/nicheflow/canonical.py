@@ -11,7 +11,7 @@ by ``write_line`` to a log ``open_log`` opened, read by ``read_lines``.
 import json
 import logging
 from pathlib import Path
-from typing import Any, Iterator, TextIO
+from typing import Any, Callable, Iterator, Optional, TextIO
 
 from .errors import StorageError
 
@@ -42,13 +42,15 @@ def write_line(log: TextIO, doc: Any) -> None:
         raise StorageError(f"cannot append to {log.name}: {e}") from e
 
 
-def read_lines(path: Path) -> Iterator[Any]:
+def read_lines(path: Path, cut_from: Optional[Callable[[Any], bool]] = None) -> Iterator[Any]:
     """Yield the documents of a line log; a missing file holds none.
 
     A final line that does not parse was torn by a crash mid-append: it is
     skipped with a warning and cut from the file. A whole final record whose
     newline was lost gets its newline back. Either way the next append starts
-    a line of its own. A bad line anywhere else raises ``StorageError``.
+    a line of its own. A bad line anywhere else raises ``StorageError``. The
+    first document for which ``cut_from`` holds is cut from the file with
+    every line after it, and ends the log.
     """
     try:
         data = path.read_bytes()
@@ -67,6 +69,9 @@ def read_lines(path: Path) -> Iterator[Any]:
                 if i != last:
                     raise StorageError(f"corrupt record at {path}:{i + 1}") from None
                 logger.warning("skipping truncated final record in %s", path)
+                _rewrite_tail(path, offset, b"")
+                return
+            if cut_from is not None and cut_from(doc):
                 _rewrite_tail(path, offset, b"")
                 return
             yield doc

@@ -76,7 +76,7 @@ def cmd_evolve(cfg: RunConfig, steps: int) -> Population:
             raise ConfigError(
                 f"snapshot was created with config {saved_hash}, current is {cfg.config_hash}"
             )
-        repair_step_log(cfg.run_dir)
+        repair_step_log(cfg.run_dir, pop.generation)
         tasks = _task_stream(cfg)
         start = pop.generation
         with _evolve_deps(cfg) as deps:

@@ -73,12 +73,16 @@ def execute(
 ) -> ExecutionTrace:
     """Run every operator once in a topological order, threading each
     operator's output to its inter-edge successors; the single sink's output
-    is the answer."""
+    is the answer. An over-budget run's ``BudgetExceeded`` names the genome."""
     caller = _Caller(provider, pool, call_budget)
-    answer = run_dag(
-        genome.op_ids, genome.inter_edges, f"genome {genome.workflow_id!r}",
-        lambda oid, context: run_operator(genome.operator(oid), query.text, context, caller),
-    )
+    owner = f"genome {genome.workflow_id!r}"
+    try:
+        answer = run_dag(
+            genome.op_ids, genome.inter_edges, owner,
+            lambda oid, context: run_operator(genome.operator(oid), query.text, context, caller),
+        )
+    except BudgetExceeded as e:
+        raise BudgetExceeded(f"{owner}: {e}", partial_cost=e.partial_cost) from None
     return ExecutionTrace(answer, caller.total_cost, caller.count)
 
 

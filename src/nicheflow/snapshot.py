@@ -4,6 +4,11 @@ A snapshot is a directory of one canonical genome document per member plus a
 manifest carrying the generation, seed, and config hash. A save writes a temp
 dir, moves the previous snapshot aside to ``population.old`` and only then
 installs the new one, so a crash never leaves less than one whole snapshot.
+
+A load reads every file, but reuses the genome of a member file whose text is
+what the last successful load parsed: parsing is a pure function of the text
+and genomes are frozen, so a process that serves many queries re-parses only
+the members that changed.
 """
 
 import json
@@ -14,7 +19,10 @@ from pathlib import Path
 from . import canonical
 from .errors import GenomeParseError, StorageError
 from .evolution import Population
-from .genome import deserialize, serialize
+from .genome import WorkflowGenome, deserialize, serialize
+
+# The members of the last snapshot that loaded, by the text of their files.
+_parsed: dict[str, WorkflowGenome] = {}
 
 
 def save_population(pop: Population, run_dir, config_hash: str = "") -> Path:
@@ -46,12 +54,14 @@ def save_population(pop: Population, run_dir, config_hash: str = "") -> Path:
 
 
 def load_population(run_dir) -> tuple[Population, str]:
+    global _parsed
     target = Path(run_dir) / "population"
     if not target.exists() and target.with_suffix(".old").exists():
         target = target.with_suffix(".old")  # a save crashed between its two renames
     try:
         manifest = json.loads((target / "manifest.json").read_text(encoding="utf-8"))
-        members = [_load_member(target / f"{wid}.json") for wid in manifest["members"]]
+        parsed = {}
+        members = [_load_member(target / f"{wid}.json", parsed) for wid in manifest["members"]]
         pop = Population(
             members=members,
             generation=int(manifest["generation"]),
@@ -62,14 +72,20 @@ def load_population(run_dir) -> tuple[Population, str]:
         raise StorageError(f"cannot load snapshot under {run_dir}: {e}") from e
     except (ValueError, KeyError, TypeError) as e:
         raise StorageError(f"corrupt snapshot under {run_dir}: {e!r}") from e
+    _parsed = parsed
     return pop, config_hash
 
 
-def _load_member(path: Path):
-    try:
-        return deserialize(path.read_text(encoding="utf-8"))
-    except (GenomeParseError, ValueError, KeyError, TypeError) as e:
-        raise StorageError(f"corrupt snapshot member {path}: {e}") from e
+def _load_member(path: Path, parsed: dict[str, WorkflowGenome]) -> WorkflowGenome:
+    text = path.read_text(encoding="utf-8")
+    genome = _parsed.get(text)
+    if genome is None:
+        try:
+            genome = deserialize(text)
+        except (GenomeParseError, ValueError, KeyError, TypeError) as e:
+            raise StorageError(f"corrupt snapshot member {path}: {e}") from e
+    parsed[text] = genome
+    return genome
 
 
 class RunLock:
@@ -110,9 +126,14 @@ class RunLock:
         return False
 
 
-def repair_step_log(run_dir) -> None:
-    """Cut a report torn by a crash mid-append (``canonical.read_lines``)."""
-    for _ in canonical.read_lines(Path(run_dir) / "steps.jsonl"):
+def repair_step_log(run_dir, generation: int) -> None:
+    """Cut a report torn by a crash mid-append (``canonical.read_lines``), and
+    every report past ``generation``, the snapshot's: after a crash between
+    checkpoints, ``evolve`` resumes from that snapshot and replays those steps."""
+    reports = canonical.read_lines(
+        Path(run_dir) / "steps.jsonl", cut_from=lambda report: report["generation"] > generation,
+    )
+    for _ in reports:
         pass
 
 

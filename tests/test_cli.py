@@ -12,9 +12,9 @@ from nicheflow import cli, config, snapshot
 from nicheflow.bench import DomainSpec
 from nicheflow.cli import main
 from nicheflow.config import load_config, parse_config
-from nicheflow.errors import ConfigError, StorageError
-from nicheflow.evolution import EvolutionConfig, Population
-from nicheflow.genome import ModelSpec
+from nicheflow.errors import BudgetExceeded, ConfigError, StorageError
+from nicheflow.evolution import EvolutionConfig, Population, choose_workflow, ensure_tag_vectors
+from nicheflow.genome import ModelSpec, RunStats, deserialize, serialize
 from nicheflow.memory import LlmExperiencePool, WorkflowExperiencePool
 from nicheflow.provider import SimModelProfile
 from nicheflow.snapshot import RunLock, load_population, save_population
@@ -255,6 +255,69 @@ def test_load_population_corrupt_manifest_is_storage_error(tmp_path, text):
         load_population(tmp_path)
 
 
+def _member_files(run_dir):
+    return sorted(p for p in (run_dir / "population").glob("*.json") if p.name != "manifest.json")
+
+
+def _counting_deserialize(monkeypatch):
+    texts = []
+
+    def counting(text):
+        texts.append(text)
+        return deserialize(text)
+
+    monkeypatch.setattr(snapshot, "deserialize", counting)
+    return texts
+
+
+def test_reload_of_an_unchanged_snapshot_parses_no_member(tmp_path, monkeypatch):
+    path, run_dir = _write_config(tmp_path)
+    assert main(["--config", str(path), "init"]) == 0
+    first, _ = load_population(run_dir)
+    parsed = _counting_deserialize(monkeypatch)
+    again, _ = load_population(run_dir)
+    assert parsed == []
+    fresh = [deserialize(p.read_text(encoding="utf-8")) for p in _member_files(run_dir)]
+    assert sorted(again.members, key=lambda g: g.workflow_id) == fresh
+    assert again.members == first.members and again.members is not first.members
+
+
+def test_reload_parses_a_member_rewritten_in_place(tmp_path, monkeypatch):
+    path, run_dir = _write_config(tmp_path)
+    assert main(["--config", str(path), "init"]) == 0
+    pop, _ = load_population(run_dir)
+    member = pop.members[0]
+    edited = member.with_stats(RunStats(exec_count=3, mean_cost=0.25, mean_perf=0.75))
+    (run_dir / "population" / f"{member.workflow_id}.json").write_text(
+        serialize(edited), encoding="utf-8"
+    )
+    parsed = _counting_deserialize(monkeypatch)
+    reloaded, _ = load_population(run_dir)
+    assert len(parsed) == 1
+    assert reloaded.members[0] == edited and reloaded.members[0].stats == edited.stats
+    assert reloaded.members[1:] == pop.members[1:]
+
+
+def test_reload_validates_a_member_corrupted_in_place(tmp_path, monkeypatch):
+    path, run_dir = _write_config(tmp_path)
+    assert main(["--config", str(path), "init"]) == 0
+    pop, _ = load_population(run_dir)
+    member = _member_files(run_dir)[0]
+    text = member.read_text(encoding="utf-8")
+    corrupt = text.replace('"schema_version":1', '"schema_version":9')
+    assert corrupt != text and len(corrupt) == len(text)
+    member.write_text(corrupt, encoding="utf-8")
+    with pytest.raises(StorageError, match=member.name):
+        load_population(run_dir)
+
+    # the next good load still works, and still reuses what the last one parsed
+    member.write_text(text, encoding="utf-8")
+    parsed = _counting_deserialize(monkeypatch)
+    reloaded, _ = load_population(run_dir)
+    assert reloaded.members == pop.members
+    assert parsed == []
+
+
 def test_run_lock_excludes_second_writer(tmp_path):
     with RunLock(tmp_path):
         with pytest.raises(StorageError):
@@ -364,6 +427,27 @@ def test_cli_evolve_cuts_a_torn_step_report(tmp_path):
     assert [json.loads(line)["generation"] for line in lines] == list(range(1, 8))
 
 
+def test_cli_evolve_resumed_after_a_crash_between_checkpoints_keeps_one_report_per_step(
+    tmp_path, monkeypatch
+):
+    path, run_dir = _write_config(tmp_path, checkpoint_interval=10)
+    assert main(["--config", str(path), "init"]) == 0
+    save = cli.save_population
+
+    def crash_at_15(pop, *args):
+        if pop.generation == 15:
+            raise StorageError("crash")
+        return save(pop, *args)
+
+    monkeypatch.setattr(cli, "save_population", crash_at_15)
+    assert main(["--config", str(path), "evolve", "--steps", "15"]) == 4
+    monkeypatch.setattr(cli, "save_population", save)
+    assert load_population(run_dir)[0].generation == 10
+    assert main(["--config", str(path), "evolve", "--steps", "5"]) == 0
+    lines = (run_dir / "steps.jsonl").read_text().splitlines()
+    assert [json.loads(line)["generation"] for line in lines] == list(range(1, 16))
+
+
 def test_cli_evolve_closes_both_experience_logs_when_a_step_raises(tmp_path, monkeypatch):
     path, _ = _write_config(tmp_path)
     assert main(["--config", str(path), "init"]) == 0
@@ -428,6 +512,26 @@ def test_cli_bench_scores_an_over_budget_member_zero(tmp_path, capsys):
     assert 0 < report["over_budget"] < report["tasks"] == 40
     assert report["total_cost"] > 0
     assert json.loads((run_dir / "bench_report.json").read_text()) == report
+
+
+def test_cli_infer_names_an_over_budget_member(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    doc = _cli_config_doc(run_dir)
+    doc["hyperparameters"] = {"call_budget": 4}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "init"]) == 0
+    query = "Compute 17 * 3 + 4."
+    cfg = load_config(path)
+    pop, _ = load_population(run_dir)
+    ensure_tag_vectors(pop, cfg.make_embedder())
+    chosen = choose_workflow(pop, cfg.make_embedder().embed(query)).workflow_id
+    capsys.readouterr()
+    assert main(["--config", str(path), "infer", "--query", query]) == 1
+    assert capsys.readouterr().err == f"error: genome {chosen!r}: call budget 4 exceeded\n"
+    with pytest.raises(BudgetExceeded) as e:
+        cli.cmd_infer(cfg, query)
+    assert e.value.partial_cost > 0
 
 
 def test_cli_exit_code_for_bad_config(tmp_path, capsys):
