@@ -856,6 +856,29 @@ def choose_workflow(
     )
 
 
+# The members last served (held, so their ids are not reused), the embedding
+# dimension, and their tag-vectored copies.
+_prepared: tuple[tuple[WorkflowGenome, ...], int, Population] = ((), 0, Population(members=[]))
+
+
+def _prepared_members(pop: Population, embedder) -> Population:
+    """``pop``'s members with tag vectors, reused while they are the same
+    genome objects at the same dimension: genomes are frozen and tag vectors
+    are a pure function of (tag text, dimension)."""
+    global _prepared
+    served, dim, prepared = _prepared
+    members = tuple(pop.members)
+    if (
+        dim != embedder.dim
+        or len(served) != len(members)
+        or any(a is not b for a, b in zip(served, members))
+    ):
+        prepared = Population(members=list(members))
+        ensure_tag_vectors(prepared, embedder)
+        _prepared = (members, embedder.dim, prepared)
+    return prepared
+
+
 def infer(
     pop: Population,
     query: TaskQuery,
@@ -867,8 +890,13 @@ def infer(
     *,
     call_budget: int,
 ):
-    ensure_tag_vectors(pop, embedder)
+    """Run the member ``choose_workflow`` picks for ``query``; ``pop`` is not
+    modified. The tag-vectored copies of the members are kept for the process:
+    a later call with the same genome objects at the same embedding dimension
+    (as ``load_population`` hands back for unchanged member files) embeds only
+    the query, and any other population or dimension rebuilds them."""
+    prepared = _prepared_members(pop, embedder)
     query_vec = embedder.embed(query.text)
-    genome = choose_workflow(pop, query_vec, mode=mode, budget=budget)
+    genome = choose_workflow(prepared, query_vec, mode=mode, budget=budget)
     trace = execute(genome, query, provider, pool, call_budget=call_budget)
     return genome, trace

@@ -10,6 +10,7 @@ executor's over a workflow's operators, the Custom runner's over its nodes.
 """
 
 import ast
+import functools
 import operator as _op_mod
 import re
 import string
@@ -22,15 +23,22 @@ from .errors import InvalidInput, StructureError, TemplateError
 SELFREFINE_STOP_MARKER = "NO FURTHER REFINEMENT"
 
 
+@functools.lru_cache(maxsize=256)
+def _parse_template(prompt: str) -> tuple[tuple[str, Optional[str]], ...]:
+    # a malformed template raises ValueError, which lru_cache does not keep
+    return tuple((literal, name) for literal, name, _spec, _conv in string.Formatter().parse(prompt))
+
+
 def render_prompt(prompt: str, mapping: Mapping[str, str], op_id: str) -> str:
     """Resolve named placeholders; any placeholder without a binding is an
-    execution error, not a validation error."""
+    execution error, not a validation error. The parses of the most recently
+    used template texts are kept; a malformed one raises on every call."""
     out = []
     try:
-        parsed = list(string.Formatter().parse(prompt))
+        parsed = _parse_template(prompt)
     except ValueError as e:
         raise TemplateError(op_id, f"<malformed: {e}>") from None
-    for literal, field_name, _spec, _conv in parsed:
+    for literal, field_name in parsed:
         out.append(literal)
         if field_name is None:
             continue

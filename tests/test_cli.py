@@ -12,6 +12,7 @@ from nicheflow import cli, config, snapshot
 from nicheflow.bench import DomainSpec
 from nicheflow.cli import main
 from nicheflow.config import load_config, parse_config
+from nicheflow.embedding import HashingEmbedder
 from nicheflow.errors import BudgetExceeded, ConfigError, StorageError
 from nicheflow.evolution import EvolutionConfig, Population, choose_workflow, ensure_tag_vectors
 from nicheflow.genome import ModelSpec, RunStats, deserialize, serialize
@@ -316,6 +317,65 @@ def test_reload_validates_a_member_corrupted_in_place(tmp_path, monkeypatch):
     reloaded, _ = load_population(run_dir)
     assert reloaded.members == pop.members
     assert parsed == []
+
+
+def _counting_embed(monkeypatch):
+    texts = []
+    uncached = HashingEmbedder._embed_uncached
+
+    def counting(self, text):
+        texts.append(text)
+        return uncached(self, text)
+
+    monkeypatch.setattr(HashingEmbedder, "_embed_uncached", counting)
+    return texts
+
+
+def _fresh_choice(cfg, query):
+    """The member ``choose_workflow`` picks over freshly tag-vectored copies."""
+    pop, _ = load_population(cfg.run_dir)
+    embedder = cfg.make_embedder()
+    ensure_tag_vectors(pop, embedder)
+    return choose_workflow(pop, embedder.embed(query)).workflow_id
+
+
+def test_reinfer_of_an_unchanged_snapshot_embeds_only_the_query(tmp_path, monkeypatch):
+    path, run_dir = _write_config(tmp_path)
+    assert main(["--config", str(path), "init"]) == 0
+    cfg = load_config(path)
+    query = "Compute 2 + 2."
+    first = cli.cmd_infer(cfg, query)
+    embedded = _counting_embed(monkeypatch)
+    assert cli.cmd_infer(cfg, query) == first
+    assert embedded == [query]
+
+
+def test_reinfer_serves_a_member_rewritten_with_new_tags(tmp_path):
+    path, run_dir = _write_config(tmp_path)
+    assert main(["--config", str(path), "init"]) == 0
+    cfg = load_config(path)
+    query = "Compute 2 + 2."
+    first = cli.cmd_infer(cfg, query)
+    pop, _ = load_population(run_dir)
+    member = next(m for m in pop.members if m.workflow_id != first["workflow_id"])
+    retagged = member.with_tags([f"{query} {i}" for i in range(len(member.tags))])
+    (run_dir / "population" / f"{member.workflow_id}.json").write_text(
+        serialize(retagged), encoding="utf-8"
+    )
+    served = cli.cmd_infer(cfg, query)["workflow_id"]
+    assert served == member.workflow_id == _fresh_choice(cfg, query)
+
+
+def test_reinfer_alternating_embedding_dims_matches_the_fresh_choice(tmp_path):
+    path, run_dir = _write_config(tmp_path)
+    small, _ = _write_config(tmp_path, name="small.json", embedding_dim=16)
+    assert main(["--config", str(path), "init"]) == 0
+    cfgs = [load_config(path), load_config(small)]
+    queries = ["Compute 2 + 2.", "Summarize the debate.", "Review this code for bugs."]
+    for i in range(4):
+        cfg = cfgs[i % 2]
+        for query in queries:
+            assert cli.cmd_infer(cfg, query)["workflow_id"] == _fresh_choice(cfg, query)
 
 
 def test_run_lock_excludes_second_writer(tmp_path):

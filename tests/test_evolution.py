@@ -19,6 +19,7 @@ from nicheflow.evolution import (
     combined_ranks,
     crossover,
     dominates,
+    ensure_tag_vectors,
     environmental_selection,
     epsilon_indicator,
     evolve_step,
@@ -924,3 +925,39 @@ def test_infer_runs_the_chosen_workflow(pool, sim_provider, embedder):
     assert genome.workflow_id in pop.ids
     assert trace.call_count >= 1
     assert trace.answer
+
+
+_TAG_WORDS = ("math proof", "code review", "budget tier", "debate")
+
+
+def _vocab_genome(rng, wid):
+    """An untagged-vector genome whose tags and mean cost come from small sets,
+    so that exact similarity and cost ties happen."""
+    tags = [str(rng.choice(_TAG_WORDS)) for _ in range(int(rng.integers(1, 4)))]
+    cost = float(rng.choice([0.0, 0.5, 1.0]))
+    return build_genome(tags=tags, wid=wid, stats=RunStats(exec_count=1, mean_cost=cost))
+
+
+def test_infer_chooses_what_choose_workflow_chooses_over_fresh_vectors(pool, sim_provider):
+    rng = np.random.default_rng(31)
+    pop = Population(members=[_vocab_genome(rng, f"w{i}") for i in range(6)])
+    for _ in range(40):
+        for i in range(len(pop.members)):  # rewrite some members between calls
+            if rng.random() < 0.1:
+                pop.members[i] = _vocab_genome(rng, pop.members[i].workflow_id)
+        dim = int(rng.choice([16, 64]))
+        mode = str(rng.choice(["best", "budget"]))
+        budget = float(rng.choice([0.0, 0.25, 0.5, 2.0])) if mode == "budget" else None
+        query = TaskQuery(query_id="q", text=" ".join(rng.choice(_TAG_WORDS, size=2)))
+        served = Population(members=list(pop.members))
+        genome, _ = infer(served, query, HashingEmbedder(dim=dim), sim_provider, pool,
+                          mode=mode, budget=budget, call_budget=64)
+        assert served.members == pop.members
+        assert all(m.tag_vectors is None for m in served.members)  # pop is not modified
+
+        fresh = Population(members=list(pop.members))
+        embedder = HashingEmbedder(dim=dim)
+        ensure_tag_vectors(fresh, embedder)
+        want = choose_workflow(fresh, embedder.embed(query.text), mode=mode, budget=budget)
+        assert genome == want
+        assert all(np.array_equal(a, b) for a, b in zip(genome.tag_vectors, want.tag_vectors))

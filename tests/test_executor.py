@@ -1,4 +1,5 @@
 import dataclasses
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -230,6 +231,44 @@ def test_render_prompt_raises_on_missing_placeholder():
 
 def test_render_prompt_keeps_literal_text():
     assert render_prompt("no placeholders", {}, "op") == "no placeholders"
+
+
+def _render_fresh(prompt, mapping, op_id):
+    """``render_prompt`` with the template parsed on every call."""
+    try:
+        parsed = list(string.Formatter().parse(prompt))
+    except ValueError as e:
+        raise TemplateError(op_id, f"<malformed: {e}>") from None
+    out = []
+    for literal, field_name, _spec, _conv in parsed:
+        out.append(literal)
+        if field_name is not None:
+            if field_name not in mapping:
+                raise TemplateError(op_id, field_name or "<empty>")
+            out.append(str(mapping[field_name]))
+    return "".join(out)
+
+
+def _outcome(render, prompt, mapping):
+    try:
+        return render(prompt, mapping, "op3")
+    except TemplateError as e:
+        return (e.op_id, e.placeholder, str(e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    prompt=st.lists(
+        st.sampled_from(["ab ", "{task}", "{a}", "{b}", "{}", "{a!r:>3}", "{", "}", "{{", "}}", ":"]),
+        max_size=5,
+    ).map("".join),
+    mapping=st.dictionaries(st.sampled_from(["task", "a", "b", ""]), st.text(max_size=3)),
+)
+def test_render_prompt_memo_agrees_with_fresh_parsing(prompt, mapping):
+    # twice: the first call may fill the memo, the second reads it
+    want = _outcome(_render_fresh, prompt, mapping)
+    assert _outcome(render_prompt, prompt, mapping) == want
+    assert _outcome(render_prompt, prompt, mapping) == want
 
 
 # --- whole-genome execution -------------------------------------------------------
