@@ -98,7 +98,6 @@ _HYPERPARAMETERS = {
     "rho_prompt": float,
     "m_max": int,
     "call_budget": int,
-    "retries": int,
     "skip_edge_prob": float,
     "llm_evolution": _flag,
     "evolver_model": _same,
@@ -173,6 +172,14 @@ def parse_config(doc: dict, run_dir_override: Optional[str] = None) -> RunConfig
         raise ConfigError(f"unknown backend {cfg.backend!r}")
     if cfg.checkpoint_interval < 1:
         raise ConfigError("checkpoint_interval must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
+    if cfg.embedding_dim < 2:
+        raise ConfigError("embedding_dim must be >= 2")
+    if not cfg.domains:
+        raise ConfigError("domains must be nonempty")
+    if cfg.tasks_per_domain < 1:
+        raise ConfigError("tasks_per_domain must be >= 1")
     return cfg
 
 

@@ -5,9 +5,9 @@ The backend is a fully offline deterministic embedder (token 3-gram feature
 hashing), so the whole evolutionary loop is testable with zero network access.
 """
 
+import functools
 import hashlib
 import re
-import threading
 from typing import Optional
 
 import numpy as np
@@ -34,29 +34,21 @@ class HashingEmbedder:
     """Deterministic offline embedder: character 3-grams of lowercased tokens,
     feature-hashed into ``dim`` buckets with term-frequency weights, L2 norm.
 
-    Vectors are cached per stripped text; the cache is shared between threads,
-    so it is guarded by a lock.
+    A vector is a pure function of (dim, stripped text), so every embedder
+    shares one bounded, thread-safe cache of them: the only place a tag's
+    vector is kept. Cached vectors are read-only.
     """
 
     def __init__(self, dim: int = DEFAULT_DIM):
         if dim < 2:
             raise InvalidInput("embedding dimension must be >= 2")
         self.dim = dim
-        self._cache: dict[str, np.ndarray] = {}
-        self._lock = threading.Lock()
 
     def embed(self, text: str) -> np.ndarray:
         key = text.strip()
         if not key:
             raise InvalidInput("cannot embed empty text")
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        vec = _check_unit(self._embed_uncached(key))
-        with self._lock:
-            self._cache[key] = vec
-        return vec
+        return _unit_vector(self.dim, key)
 
     def _embed_uncached(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=np.float64)
@@ -78,30 +70,41 @@ class HashingEmbedder:
         return vec
 
 
+# Two rounds of each benchmark workload in one process leave at most 256
+# distinct keys. A step touches all N*kappa live tags (75 at the acceptance
+# config), so they stay resident and eviction only drops old query texts:
+# this bound never evicts there, and caps what a long-lived server keeps.
+@functools.lru_cache(maxsize=1024)
+def _unit_vector(dim: int, text: str) -> np.ndarray:
+    # the miss path is looked up on the class at call time, so it can be wrapped
+    vec = _check_unit(HashingEmbedder(dim)._embed_uncached(text))
+    vec.flags.writeable = False
+    return vec
+
+
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     if u.shape != v.shape:
         raise InvalidInput(f"dimension mismatch: {u.shape} vs {v.shape}")
     return float(np.dot(u, v))
 
 
-def with_tag_vectors(genome: WorkflowGenome, embedder: HashingEmbedder) -> WorkflowGenome:
-    vectors = tuple(embedder.embed(tag) for tag in genome.tags)
-    return genome.with_tags(genome.tags, tag_vectors=vectors)
+def _embed_tags(genome: WorkflowGenome, embedder: HashingEmbedder) -> list[np.ndarray]:
+    if not genome.tags:
+        raise InvalidState(f"genome {genome.workflow_id!r} has no tags")
+    return [embedder.embed(tag) for tag in genome.tags]
 
 
-def similarity_score(genome: WorkflowGenome, query_vec: np.ndarray) -> float:
-    """Sum over the genome's tag vectors of their cosine with the query."""
-    if genome.tag_vectors is None or len(genome.tag_vectors) == 0:
-        raise InvalidState(f"genome {genome.workflow_id!r} has no tag vectors")
-    return float(sum(cosine(tv, query_vec) for tv in genome.tag_vectors))
+def similarity_score(
+    genome: WorkflowGenome, query_vec: np.ndarray, embedder: HashingEmbedder
+) -> float:
+    """Sum over the genome's tags, in order, of their vector's cosine with the query."""
+    return float(sum(cosine(tv, query_vec) for tv in _embed_tags(genome, embedder)))
 
 
-def tag_profile(genome: WorkflowGenome) -> np.ndarray:
+def tag_profile(genome: WorkflowGenome, embedder: HashingEmbedder) -> np.ndarray:
     """Unit-norm mean of a genome's tag vectors; used for genome-to-genome
     similarity in niching."""
-    if genome.tag_vectors is None or len(genome.tag_vectors) == 0:
-        raise InvalidState(f"genome {genome.workflow_id!r} has no tag vectors")
-    mean = np.mean(np.stack(genome.tag_vectors), axis=0)
+    mean = np.mean(np.stack(_embed_tags(genome, embedder)), axis=0)
     norm = float(np.linalg.norm(mean))
     if norm == 0.0:
         return mean
@@ -144,8 +147,8 @@ def generate_tags(
     kappa: int = 5,
 ) -> list[str]:
     """Ask the evolver for kappa comma-separated tags; fall back to the
-    structural tagger without an evolver, after its retries of malformed
-    replies, or on transport failure.
+    structural tagger without an evolver, on a malformed reply, or on
+    transport failure.
 
     Always returns exactly kappa tags.
     """
@@ -158,5 +161,5 @@ def generate_tags(
         TASK="(no solved task recorded yet)",
         KAPPA=kappa,
     )
-    tags = evolver.ask(prompt, lambda reply: _parse_tag_reply(reply, kappa), retry=True)
+    tags = evolver.ask(prompt, lambda reply: _parse_tag_reply(reply, kappa))
     return tags if tags is not None else structural_tags(genome, pool, kappa)

@@ -10,7 +10,8 @@ class InvalidInput(NicheflowError):
 
 
 class InvalidState(NicheflowError):
-    """An object is missing state required by the operation (e.g. tag vectors)."""
+    """An object is missing state required by the operation (e.g. a genome
+    scored by tag similarity that has no tags)."""
 
 
 class ConfigError(NicheflowError):

@@ -58,7 +58,6 @@ class EvolutionConfig:
     rho_prompt: float = 0.3
     m_max: int = 4
     call_budget: int = DEFAULT_CALL_BUDGET
-    retries: int = 3
     skip_edge_prob: float = 0.25
     mutation_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)  # add/delete/rewire
     llm_evolution: bool = False
@@ -79,8 +78,6 @@ class EvolutionConfig:
             raise ConfigError("m_max must be >= 1")
         if self.call_budget < 1:
             raise ConfigError("call_budget must be >= 1")
-        if self.retries < 1:
-            raise ConfigError("retries must be >= 1")
         for name in ("rho_llm", "rho_prompt", "skip_edge_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1]")
@@ -99,7 +96,7 @@ def make_evolver(cfg: EvolutionConfig, provider, pool: ModelPool) -> Optional[Ev
     )
     if model_id not in pool:
         raise ConfigError(f"evolver_model {model_id!r} names no pool model")
-    return Evolver(provider, model_id, cfg.retries)
+    return Evolver(provider, model_id)
 
 
 @dataclass
@@ -224,7 +221,8 @@ def init_population(
     seed: int = 0,
 ) -> Population:
     """Sample N genomes: uniform operator templates, uniform model choices,
-    chain wiring plus optional skip edges, then tag every genome."""
+    chain wiring plus optional skip edges, then tag every genome. ``embedder``
+    is unused: tag vectors are embedded when a tag is scored."""
     cfg.check()
     if not operator_repo:
         raise ConfigError("operator repository must be nonempty")
@@ -244,7 +242,6 @@ def init_population(
         genome = _assemble(ops, edges, [], {"parents": [], "mode": "init"}, taken)
         tags = emb.generate_tags(genome, evolver, pool, kappa=cfg.kappa)
         genome = genome.with_tags(tags)
-        genome = emb.with_tag_vectors(genome, embedder)
         violations = validate(genome, pool, kappa=cfg.kappa)
         if violations:
             raise ConfigError(f"initialization produced invalid genome: {violations}")
@@ -253,21 +250,15 @@ def init_population(
     return Population(members=members, generation=0, seed=seed)
 
 
-def ensure_tag_vectors(pop: Population, embedder) -> None:
-    for m in list(pop.members):
-        if m.tag_vectors is None:
-            pop.replace_member(emb.with_tag_vectors(m, embedder))
-
-
 # --- retrieval ----------------------------------------------------------------
 
 def select_parents(
-    members: Sequence[WorkflowGenome], query_vec: np.ndarray, k: int
+    members: Sequence[WorkflowGenome], query_vec: np.ndarray, k: int, embedder
 ) -> list[WorkflowGenome]:
     """The k members with largest tag-similarity score; ties by ascending id."""
     scored = sorted(
         members,
-        key=lambda g: (-emb.similarity_score(g, query_vec), g.workflow_id),
+        key=lambda g: (-emb.similarity_score(g, query_vec, embedder), g.workflow_id),
     )
     return scored[:k]
 
@@ -293,7 +284,7 @@ def _llm_offspring_structure(
     def parse(reply: str):
         try:
             candidate = from_document(_extract_json_document(reply))
-        except Exception:  # noqa: BLE001 - malformed replies trigger a retry
+        except Exception:  # noqa: BLE001 - a malformed reply means the fallback
             return None
         ops = renumber_operators(candidate.operators)
         remap = {
@@ -313,7 +304,7 @@ def _llm_offspring_structure(
             return None
         return ops, edges
 
-    return evolver.ask(prompt, parse, retry=True)
+    return evolver.ask(prompt, parse)
 
 
 def crossover(
@@ -541,24 +532,25 @@ def niching_area(
     pop: Population,
     offspring: WorkflowGenome,
     e: int,
+    embedder,
     parents: Sequence[WorkflowGenome] = (),
 ) -> NichingPool:
     """Select the E members minimizing combined rank: position in descending
     tag-similarity order plus position in ascending cost-distance order."""
-    ranks = combined_ranks(pop, offspring)
+    ranks = combined_ranks(pop, offspring, embedder)
     chosen = sorted(pop.members, key=lambda g: (ranks[g.workflow_id], g.workflow_id))[:e]
     return NichingPool(offspring=offspring, parents=tuple(parents), area=tuple(chosen))
 
 
 def combined_ranks(
-    pop: Population, offspring: WorkflowGenome
+    pop: Population, offspring: WorkflowGenome, embedder
 ) -> dict[str, int]:
     """Rank_S + Rank_c per member: similarity rank plus cost-distance rank."""
     members = list(pop.members)
-    off_profile = emb.tag_profile(offspring)
+    off_profile = emb.tag_profile(offspring, embedder)
     kappa = len(offspring.tags)
     sims = {
-        m.workflow_id: kappa * emb.cosine(off_profile, emb.tag_profile(m))
+        m.workflow_id: kappa * emb.cosine(off_profile, emb.tag_profile(m, embedder))
         for m in members
     }
     cost_dist = {
@@ -718,10 +710,9 @@ def evolve_step(
     cfg = deps.cfg
     cfg.check()
     evolver = make_evolver(cfg, deps.provider, deps.pool)
-    ensure_tag_vectors(pop, deps.embedder)
     query_vec = deps.embedder.embed(query.text)
 
-    parents = select_parents(pop.members, query_vec, cfg.parents_k)
+    parents = select_parents(pop.members, query_vec, cfg.parents_k, deps.embedder)
 
     offspring = crossover(
         parents, evolver, cfg, rng, deps.pool, pop.ids, query_text=query.text
@@ -734,7 +725,6 @@ def evolve_step(
     offspring = mutate_operator(offspring, rng, repo=deps.repo, pool=deps.pool, cfg=cfg)
     tags = emb.generate_tags(offspring, evolver, deps.pool, kappa=cfg.kappa)
     offspring = offspring.with_tags(tags)
-    offspring = emb.with_tag_vectors(offspring, deps.embedder)
     offspring = replace(offspring, workflow_id=fresh_workflow_id(offspring, pop.ids))
     if validate(offspring, deps.pool, kappa=cfg.kappa):
         # pathological offspring: fall back to a renumbered clone of parent 1
@@ -743,9 +733,8 @@ def evolve_step(
             ops, chain_edges(ops), parents[0].tags,
             {"parents": [parents[0].workflow_id], "mode": "clone"}, pop.ids,
         )
-        offspring = emb.with_tag_vectors(offspring, deps.embedder)
 
-    niche = niching_area(pop, offspring, cfg.niche_size, parents=parents)
+    niche = niching_area(pop, offspring, cfg.niche_size, deps.embedder, parents=parents)
 
     def run(genome: WorkflowGenome) -> tuple[float, float]:
         try:
@@ -830,6 +819,7 @@ def _append_experience(deps, genome, query, perf, cost) -> None:
 def choose_workflow(
     pop: Population,
     query_vec: np.ndarray,
+    embedder,
     mode: str = "best",
     budget: Optional[float] = None,
 ) -> WorkflowGenome:
@@ -849,34 +839,11 @@ def choose_workflow(
     return min(
         members,
         key=lambda g: (
-            -emb.similarity_score(g, query_vec),
+            -emb.similarity_score(g, query_vec, embedder),
             g.stats.mean_cost,
             g.workflow_id,
         ),
     )
-
-
-# The members last served (held, so their ids are not reused), the embedding
-# dimension, and their tag-vectored copies.
-_prepared: tuple[tuple[WorkflowGenome, ...], int, Population] = ((), 0, Population(members=[]))
-
-
-def _prepared_members(pop: Population, embedder) -> Population:
-    """``pop``'s members with tag vectors, reused while they are the same
-    genome objects at the same dimension: genomes are frozen and tag vectors
-    are a pure function of (tag text, dimension)."""
-    global _prepared
-    served, dim, prepared = _prepared
-    members = tuple(pop.members)
-    if (
-        dim != embedder.dim
-        or len(served) != len(members)
-        or any(a is not b for a, b in zip(served, members))
-    ):
-        prepared = Population(members=list(members))
-        ensure_tag_vectors(prepared, embedder)
-        _prepared = (members, embedder.dim, prepared)
-    return prepared
 
 
 def infer(
@@ -891,12 +858,10 @@ def infer(
     call_budget: int,
 ):
     """Run the member ``choose_workflow`` picks for ``query``; ``pop`` is not
-    modified. The tag-vectored copies of the members are kept for the process:
-    a later call with the same genome objects at the same embedding dimension
-    (as ``load_population`` hands back for unchanged member files) embeds only
-    the query, and any other population or dimension rebuilds them."""
-    prepared = _prepared_members(pop, embedder)
+    modified. Tag vectors come from the embedder's shared cache, so a process
+    serving many queries embeds a tag text again, at a given dimension, only
+    after the bounded cache has dropped it."""
     query_vec = embedder.embed(query.text)
-    genome = choose_workflow(prepared, query_vec, mode=mode, budget=budget)
+    genome = choose_workflow(pop, query_vec, embedder, mode=mode, budget=budget)
     trace = execute(genome, query, provider, pool, call_budget=call_budget)
     return genome, trace

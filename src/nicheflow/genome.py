@@ -8,9 +8,7 @@ genome rather than editing in place.
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import Any, Iterable, Mapping, Sequence
 
 from . import canonical
 from .errors import GenomeParseError, InvalidInput
@@ -103,10 +101,6 @@ class WorkflowGenome:
     tags: tuple[str, ...] = ()
     stats: RunStats = RunStats()
     lineage: Mapping[str, Any] = field(default_factory=dict)
-    # Unit-norm embedding of each tag; derived, never serialized.
-    tag_vectors: Optional[tuple[np.ndarray, ...]] = field(
-        default=None, compare=False, repr=False
-    )
 
     def operator(self, op_id: str) -> OperatorNode:
         for op in self.operators:
@@ -121,8 +115,8 @@ class WorkflowGenome:
     def with_stats(self, stats: RunStats) -> "WorkflowGenome":
         return replace(self, stats=stats)
 
-    def with_tags(self, tags: Sequence[str], tag_vectors=None) -> "WorkflowGenome":
-        return replace(self, tags=tuple(tags), tag_vectors=tag_vectors)
+    def with_tags(self, tags: Sequence[str]) -> "WorkflowGenome":
+        return replace(self, tags=tuple(tags))
 
 
 def sink_operators(genome: WorkflowGenome) -> list[str]:

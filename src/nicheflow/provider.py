@@ -79,32 +79,23 @@ class Evolver:
 
     provider: ModelProvider
     model_id: str
-    retries: int
 
-    def ask(
-        self, prompt: str, parse: Callable[[str], Optional[T]], retry: bool = False
-    ) -> Optional[T]:
-        """``parse`` of the first reply it maps to a value other than None.
-
-        Tries up to ``retries`` times when ``retry`` is set and once
-        otherwise. Returns None when no reply parses or the provider fails;
-        callers then fall back to their rule-based route.
-        """
+    def ask(self, prompt: str, parse: Callable[[str], Optional[T]]) -> Optional[T]:
+        """``parse`` of the reply to one request. Returns None when the reply
+        does not parse or the provider fails; callers then fall back to their
+        rule-based route. A request is sent once: a backend that answers
+        deterministically, as the simulated one does, would repeat its reply."""
         req = ChatRequest(
             model_id=self.model_id,
             messages=({"role": "user", "content": prompt},),
             temperature=1.0,
         )
-        for _ in range(self.retries if retry else 1):
-            try:
-                resp = self.provider.chat(req)
-            except ProviderError as e:
-                logger.warning("evolver model %s failed: %s", self.model_id, e)
-                return None
-            parsed = parse(resp.content)
-            if parsed is not None:
-                return parsed
-        return None
+        try:
+            resp = self.provider.chat(req)
+        except ProviderError as e:
+            logger.warning("evolver model %s failed: %s", self.model_id, e)
+            return None
+        return parse(resp.content)
 
 
 def call_cost(resp: ChatResponse, spec: ModelSpec) -> float:

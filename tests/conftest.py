@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nicheflow.bench import DomainSpec, generate_suite, interleave_tasks
-from nicheflow.embedding import HashingEmbedder, with_tag_vectors
+from nicheflow.embedding import HashingEmbedder, _check_unit
 from nicheflow.errors import ProviderError
 from nicheflow.evolution import EvolveDeps, init_population
 from nicheflow.genome import (
@@ -49,8 +49,7 @@ def embedder():
     return HashingEmbedder(dim=64)
 
 
-def build_genome(kinds=("CoT",), model="tiny", tags=None, stats=None, wid=None,
-                 embedder=None, kappa=5):
+def build_genome(kinds=("CoT",), model="tiny", tags=None, stats=None, wid=None, kappa=5):
     """Small chain genome with default templates, one model everywhere."""
     from nicheflow.templates import template_node_count
 
@@ -75,8 +74,6 @@ def build_genome(kinds=("CoT",), model="tiny", tags=None, stats=None, wid=None,
         tags=genome.tags,
         stats=genome.stats,
     )
-    if embedder is not None:
-        genome = with_tag_vectors(genome, embedder)
     return genome
 
 
@@ -112,6 +109,27 @@ class RecordingProvider:
     def chat(self, req):
         self.requests.append(req)
         return self.inner.chat(req)
+
+
+class TableEmbedder:
+    """Serves hand-picked vectors: ``embed`` looks its text up in ``table``."""
+
+    def __init__(self):
+        self.table = {}
+
+    def embed(self, text):
+        return self.table[text]
+
+
+class FreshEmbedder:
+    """Embeds every text anew through the miss path, never the shared cache:
+    a reference for what the cache serves."""
+
+    def __init__(self, dim):
+        self.embedder = HashingEmbedder(dim=dim)
+
+    def embed(self, text):
+        return _check_unit(self.embedder._embed_uncached(text.strip()))
 
 
 def unit_vec(dim, angle_cos, rng=None):

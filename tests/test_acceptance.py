@@ -44,6 +44,7 @@ from nicheflow.embedding import HashingEmbedder
 
 from conftest import MODEL_SPECS, SIM_PROFILES, build_genome
 from test_evolution import (
+    VECTORS,
     _rand_tag_genome,
     oracle_combined_ranks,
     oracle_fitness,
@@ -95,7 +96,7 @@ def test_criterion_2_oracle_equivalence_1000_instances():
         q = rng.normal(size=8)
         q = q / np.linalg.norm(q)
         k = int(rng.integers(1, n + 1))
-        got = [g.workflow_id for g in select_parents(members, q, k)]
+        got = [g.workflow_id for g in select_parents(members, q, k, VECTORS)]
         if got != oracle_select_parents(members, q, k):
             mismatches += 1
 
@@ -111,7 +112,7 @@ def test_criterion_2_oracle_equivalence_1000_instances():
             for g in sorted(members, key=lambda g: (ranks[g.workflow_id], g.workflow_id))[:e]
         ]
         got = [g.workflow_id
-               for g in niching_area(Population(members=members), off, e=e).area]
+               for g in niching_area(Population(members=members), off, e=e, embedder=VECTORS).area]
         if got != want:
             mismatches += 1
 

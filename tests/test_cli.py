@@ -8,18 +8,19 @@ from pathlib import Path
 
 import pytest
 
-from nicheflow import cli, config, snapshot
+from nicheflow import cli, config, embedding, snapshot
 from nicheflow.bench import DomainSpec
 from nicheflow.cli import main
 from nicheflow.config import load_config, parse_config
 from nicheflow.embedding import HashingEmbedder
 from nicheflow.errors import BudgetExceeded, ConfigError, StorageError
-from nicheflow.evolution import EvolutionConfig, Population, choose_workflow, ensure_tag_vectors
+from nicheflow.evolution import EvolutionConfig, Population, choose_workflow
 from nicheflow.genome import ModelSpec, RunStats, deserialize, serialize
 from nicheflow.memory import LlmExperiencePool, WorkflowExperiencePool
 from nicheflow.provider import SimModelProfile
 from nicheflow.snapshot import RunLock, load_population, save_population
 
+from conftest import FreshEmbedder
 from test_acceptance import _cli_config_doc
 
 
@@ -103,12 +104,13 @@ _UNKNOWN_KEYS = [
     ({"models": [{**_TINY, "size_params": 7}]}, "size_params"),
     ({"suite": {"domains": [{"label": "x", "difficulty": 0.3, "weight": 2}]}}, "weight"),
     ({"hyperparameters": {"success_threshold": 0.5}}, "success_threshold"),
+    ({"hyperparameters": {"retries": 3}}, "retries"),
 ]
 
-# A hyperparameter outside its range, and its name.
+# A value outside its range, and its name.
 _OUT_OF_RANGE = [
-    ({"hyperparameters": {"retries": 0}}, "retries"),
-    ({"hyperparameters": {"retries": -1}}, "retries"),
+    ({"seed": -1}, "seed"),
+    ({"suite": {"tasks_per_domain": 0}}, "tasks_per_domain"),
     ({"hyperparameters": {"call_budget": 0}}, "call_budget"),
     ({"hyperparameters": {"rho_llm": -0.1}}, "rho_llm"),
     ({"hyperparameters": {"rho_llm": 1.5}}, "rho_llm"),
@@ -116,6 +118,9 @@ _OUT_OF_RANGE = [
     ({"hyperparameters": {"rho_prompt": 1.5}}, "rho_prompt"),
     ({"hyperparameters": {"skip_edge_prob": -0.1}}, "skip_edge_prob"),
     ({"hyperparameters": {"skip_edge_prob": 1.5}}, "skip_edge_prob"),
+    ({"suite": {"tasks_per_domain": -3}}, "tasks_per_domain"),
+    ({"embedding_dim": 1}, "embedding_dim"),
+    ({"suite": {"domains": []}}, "domains"),
 ]
 
 
@@ -144,6 +149,17 @@ def test_config_error_names_the_out_of_range_field(tmp_path, mutation, field):
     doc.update(mutation)
     with pytest.raises(ConfigError, match=f"^{field} must be"):
         parse_config(doc)
+
+
+@pytest.mark.parametrize("mutation, field", _OUT_OF_RANGE)
+def test_init_rejects_an_out_of_range_value_before_writing(tmp_path, capsys, mutation, field):
+    doc = _config_doc(tmp_path / "run")
+    doc.update(mutation)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "init"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field} must be")
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("mutation, key", _UNKNOWN_KEYS)
@@ -320,6 +336,8 @@ def test_reload_validates_a_member_corrupted_in_place(tmp_path, monkeypatch):
 
 
 def _counting_embed(monkeypatch):
+    """The texts embedded from now on, each a miss of the emptied cache."""
+    embedding._unit_vector.cache_clear()
     texts = []
     uncached = HashingEmbedder._embed_uncached
 
@@ -332,11 +350,10 @@ def _counting_embed(monkeypatch):
 
 
 def _fresh_choice(cfg, query):
-    """The member ``choose_workflow`` picks over freshly tag-vectored copies."""
+    """The member ``choose_workflow`` picks over vectors embedded anew."""
     pop, _ = load_population(cfg.run_dir)
-    embedder = cfg.make_embedder()
-    ensure_tag_vectors(pop, embedder)
-    return choose_workflow(pop, embedder.embed(query)).workflow_id
+    fresh = FreshEmbedder(cfg.embedding_dim)
+    return choose_workflow(pop, fresh.embed(query), fresh).workflow_id
 
 
 def test_reinfer_of_an_unchanged_snapshot_embeds_only_the_query(tmp_path, monkeypatch):
@@ -344,10 +361,13 @@ def test_reinfer_of_an_unchanged_snapshot_embeds_only_the_query(tmp_path, monkey
     assert main(["--config", str(path), "init"]) == 0
     cfg = load_config(path)
     query = "Compute 2 + 2."
-    first = cli.cmd_infer(cfg, query)
     embedded = _counting_embed(monkeypatch)
+    first = cli.cmd_infer(cfg, query)
+    pop, _ = load_population(run_dir)
+    assert sorted(embedded) == sorted({query, *(t.strip() for m in pop.members for t in m.tags)})
+    embedded.clear()
     assert cli.cmd_infer(cfg, query) == first
-    assert embedded == [query]
+    assert embedded == []
 
 
 def test_reinfer_serves_a_member_rewritten_with_new_tags(tmp_path):
@@ -584,8 +604,8 @@ def test_cli_infer_names_an_over_budget_member(tmp_path, capsys):
     query = "Compute 17 * 3 + 4."
     cfg = load_config(path)
     pop, _ = load_population(run_dir)
-    ensure_tag_vectors(pop, cfg.make_embedder())
-    chosen = choose_workflow(pop, cfg.make_embedder().embed(query)).workflow_id
+    embedder = cfg.make_embedder()
+    chosen = choose_workflow(pop, embedder.embed(query), embedder).workflow_id
     capsys.readouterr()
     assert main(["--config", str(path), "infer", "--query", query]) == 1
     assert capsys.readouterr().err == f"error: genome {chosen!r}: call budget 4 exceeded\n"

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from nicheflow.embedding import (
     HashingEmbedder,
+    _check_unit,
     _parse_tag_reply,
+    _unit_vector,
     cosine,
     generate_tags,
     similarity_score,
     structural_tags,
     tag_profile,
-    with_tag_vectors,
 )
 from nicheflow.errors import InvalidInput, InvalidState
 from nicheflow.provider import Evolver
@@ -49,6 +50,37 @@ def test_hashing_embedder_rejects_tiny_dim():
 
 def test_embedder_cache_returns_same_object(embedder):
     assert embedder.embed("cached") is embedder.embed("cached")
+    assert HashingEmbedder(dim=64).embed("cached") is embedder.embed("cached")
+    with pytest.raises(ValueError):  # shared, so read-only
+        embedder.embed("cached")[0] = 1.0
+
+
+_PADDING = st.sampled_from(["", " ", "\t", "\n  "])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.integers(min_value=2, max_value=64),
+        _PADDING,
+        st.text(alphabet="ab1 !?", min_size=1, max_size=12).filter(str.strip),
+        _PADDING,
+    ),
+    min_size=1, max_size=20,
+))
+def test_shared_cache_serves_what_the_miss_path_computes(draws):
+    """Dims and texts interleaved, with surrounding whitespace and texts with
+    no alphanumerics: one entry per (dim, stripped text), none shared across
+    dims, each equal to a fresh embedding."""
+    _unit_vector.cache_clear()
+    for dim, before, text, after in draws:
+        got = HashingEmbedder(dim).embed(before + text + after)
+        want = _check_unit(HashingEmbedder(dim)._embed_uncached(text.strip()))
+        assert got.shape == want.shape == (dim,)
+        assert np.array_equal(got, want)
+        assert HashingEmbedder(dim).embed(text.strip()) is got
+    keys = {(dim, text.strip()) for dim, _, text, _ in draws}
+    assert _unit_vector.cache_info().currsize == len(keys)
 
 
 def test_cosine_identity_and_orthogonal():
@@ -68,30 +100,31 @@ def test_cosine_symmetry_and_dim_mismatch():
 
 
 def test_similarity_score_is_sum_of_tag_cosines(embedder):
-    g = build_genome(tags=["algebra", "geometry", "proofs", "counting", "speed"],
-                     embedder=embedder)
+    g = build_genome(tags=["algebra", "geometry", "proofs", "counting", "speed"])
     q = embedder.embed("algebra homework")
-    expected = sum(float(np.dot(tv, q)) for tv in g.tag_vectors)
-    assert similarity_score(g, q) == pytest.approx(expected, abs=1e-12)
+    expected = sum(float(np.dot(embedder.embed(t), q)) for t in g.tags)
+    assert similarity_score(g, q, embedder) == pytest.approx(expected, abs=1e-12)
 
 
 def test_identical_tags_score_kappa(embedder):
-    g = build_genome(tags=["algebra"] * 5, embedder=embedder)
+    g = build_genome(tags=["algebra"] * 5)
     q = embedder.embed("algebra")
-    assert similarity_score(g, q) == pytest.approx(5.0, abs=1e-9)
+    assert similarity_score(g, q, embedder) == pytest.approx(5.0, abs=1e-9)
 
 
 def test_similarity_requires_tag_vectors(embedder):
-    g = build_genome()
-    with pytest.raises(InvalidState):
-        similarity_score(g, embedder.embed("x"))
+    g = build_genome(tags=[])
+    with pytest.raises(InvalidState, match="no tags"):
+        similarity_score(g, embedder.embed("x"), embedder)
+    with pytest.raises(InvalidState, match="no tags"):
+        tag_profile(g, embedder)
 
 
 def test_tag_profile_is_unit_mean(embedder):
-    g = build_genome(tags=["a b", "c d", "e f", "g h", "i j"], embedder=embedder)
-    mean = np.mean(np.stack(g.tag_vectors), axis=0)
+    g = build_genome(tags=["a b", "c d", "e f", "g h", "i j"])
+    mean = np.mean(np.stack([embedder.embed(t) for t in g.tags]), axis=0)
     expected = mean / np.linalg.norm(mean)
-    assert np.allclose(tag_profile(g), expected, atol=1e-12)
+    assert np.allclose(tag_profile(g, embedder), expected, atol=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -131,7 +164,7 @@ def test_structural_tags_reflect_structure(pool):
 def test_generate_tags_from_wellformed_reply(pool):
     provider = ScriptedProvider(["alpha, beta, gamma, delta, epsilon"])
     g = build_genome()
-    tags = generate_tags(g, Evolver(provider, "big", retries=3), pool)
+    tags = generate_tags(g, Evolver(provider, "big"), pool)
     assert tags == ["alpha", "beta", "gamma", "delta", "epsilon"]
     assert len(provider.requests) == 1
 
@@ -140,23 +173,23 @@ def test_generate_tags_asks_for_kappa_tags(pool):
     tags = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"]
     provider = ScriptedProvider([", ".join(tags)])
     g = build_genome()
-    assert generate_tags(g, Evolver(provider, "big", retries=3), pool, kappa=7) == tags
+    assert generate_tags(g, Evolver(provider, "big"), pool, kappa=7) == tags
     assert len(provider.requests) == 1
     assert "exactly 7 short tags" in provider.requests[0].messages[-1]["content"]
 
 
-def test_generate_tags_retries_then_falls_back(pool):
-    provider = ScriptedProvider(["nope", "still nope", "nah"])
+def test_generate_tags_falls_back_on_a_malformed_reply(pool):
+    provider = ScriptedProvider(["nope", "alpha, beta, gamma, delta, epsilon"])
     g = build_genome()
-    tags = generate_tags(g, Evolver(provider, "big", retries=3), pool)
+    tags = generate_tags(g, Evolver(provider, "big"), pool)
     assert tags == structural_tags(g, pool, 5)
-    assert len(provider.requests) == 3
+    assert len(provider.requests) == 1
 
 
 def test_generate_tags_falls_back_on_transport_failure(pool):
     provider = ScriptedProvider(["x"], fail_after=0)
     g = build_genome()
-    tags = generate_tags(g, Evolver(provider, "big", retries=3), pool)
+    tags = generate_tags(g, Evolver(provider, "big"), pool)
     assert tags == structural_tags(g, pool, 5)
 
 
@@ -168,6 +201,6 @@ def test_generate_tags_always_returns_kappa(reply):
 
     pool = ModelPool(MODEL_SPECS)
     g = build_genome()
-    tags = generate_tags(g, Evolver(ScriptedProvider([reply]), "big", retries=3), pool)
+    tags = generate_tags(g, Evolver(ScriptedProvider([reply]), "big"), pool)
     assert len(tags) == 5
     assert all(t.strip() for t in tags)

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from nicheflow.evolution import (
     combined_ranks,
     crossover,
     dominates,
-    ensure_tag_vectors,
     environmental_selection,
     epsilon_indicator,
     evolve_step,
@@ -41,20 +41,34 @@ from nicheflow.memory import LlmExperiencePool, LlmExperienceRecord
 from nicheflow.provider import Evolver, make_task_envelope, parse_task_envelope
 from nicheflow.templates import DEFAULT_OPERATOR_REPO
 
-from conftest import MODEL_SPECS, RecordingProvider, ScriptedProvider, build_genome, unit_vec
+from conftest import (
+    MODEL_SPECS,
+    FreshEmbedder,
+    RecordingProvider,
+    ScriptedProvider,
+    TableEmbedder,
+    build_genome,
+    unit_vec,
+)
 
 
 # --- helpers / oracles -----------------------------------------------------------
 
+# The hand-picked vectors of the genomes below, under tag texts unique to each.
+VECTORS = TableEmbedder()
+_tag_ids = itertools.count()
+
+
+def _tagged(wid, vecs, stats):
+    tags = [f"{wid} tag {next(_tag_ids)}" for _ in vecs]
+    VECTORS.table.update(zip(tags, vecs))
+    return dataclasses.replace(build_genome(tags=tags), workflow_id=wid, stats=stats)
+
+
 def _vec_genome(wid, profile_cos, mean_cost=0.0, perf=0.0, n_exec=1, dim=8):
     """One-tag genome with a hand-picked tag vector and stats."""
-    g = build_genome(tags=["t0"])
-    return dataclasses.replace(
-        g,
-        workflow_id=wid,
-        tag_vectors=(unit_vec(dim, profile_cos),),
-        stats=RunStats(exec_count=n_exec, mean_cost=mean_cost, mean_perf=perf),
-    )
+    return _tagged(wid, [unit_vec(dim, profile_cos)],
+                   RunStats(exec_count=n_exec, mean_cost=mean_cost, mean_perf=perf))
 
 
 def _rand_tag_genome(rng, wid, dim=8, n_tags=3):
@@ -62,31 +76,25 @@ def _rand_tag_genome(rng, wid, dim=8, n_tags=3):
     for _ in range(n_tags):
         v = rng.normal(size=dim)
         vecs.append(v / np.linalg.norm(v))
-    g = build_genome(tags=[f"t{i}" for i in range(n_tags)])
-    return dataclasses.replace(
-        g,
-        workflow_id=wid,
-        tag_vectors=tuple(vecs),
-        stats=RunStats(exec_count=1, mean_cost=float(rng.random() * 5),
-                       mean_perf=float(rng.random())),
-    )
+    return _tagged(wid, vecs, RunStats(exec_count=1, mean_cost=float(rng.random() * 5),
+                                       mean_perf=float(rng.random())))
 
 
 def oracle_select_parents(members, query_vec, k):
     scored = []
     for m in members:
         s = 0.0
-        for tv in m.tag_vectors:
-            s += float(np.dot(tv, query_vec))
+        for t in m.tags:
+            s += float(np.dot(VECTORS.table[t], query_vec))
         scored.append((-s, m.workflow_id))
     scored.sort()
     return [wid for _, wid in scored[:k]]
 
 
 def oracle_combined_ranks(members, offspring):
-    off = tag_profile(offspring)
+    off = tag_profile(offspring, VECTORS)
     kappa = len(offspring.tags)
-    sims = {m.workflow_id: kappa * float(np.dot(off, tag_profile(m))) for m in members}
+    sims = {m.workflow_id: kappa * float(np.dot(off, tag_profile(m, VECTORS))) for m in members}
     dists = {
         m.workflow_id: abs(offspring.stats.mean_cost - m.stats.mean_cost)
         for m in members
@@ -162,7 +170,6 @@ def test_init_population_is_valid_and_reproducible(pool, embedder):
         assert validate(m, pool) == []
         assert 1 <= len(m.operators) <= cfg.m_max
         assert len(m.tags) == cfg.kappa
-        assert m.tag_vectors is not None
     assert len(p1.ids) == 10
 
 
@@ -192,14 +199,14 @@ def test_select_parents_matches_oracle_small():
     members = [_rand_tag_genome(rng, f"w{i:02d}") for i in range(20)]
     q = rng.normal(size=8)
     q = q / np.linalg.norm(q)
-    got = [g.workflow_id for g in select_parents(members, q, 4)]
+    got = [g.workflow_id for g in select_parents(members, q, 4, VECTORS)]
     assert got == oracle_select_parents(members, q, 4)
 
 
 def test_select_parents_breaks_ties_by_id():
     a = _vec_genome("bbb", 0.8)
     b = _vec_genome("aaa", 0.8)
-    got = select_parents([a, b], unit_vec(8, 1.0), 1)
+    got = select_parents([a, b], unit_vec(8, 1.0), 1, VECTORS)
     assert got[0].workflow_id == "aaa"
 
 
@@ -207,7 +214,7 @@ def test_select_parents_k_equals_population():
     rng = np.random.default_rng(3)
     members = [_rand_tag_genome(rng, f"w{i}") for i in range(5)]
     q = unit_vec(8, 1.0)
-    assert len(select_parents(members, q, 5)) == 5
+    assert len(select_parents(members, q, 5, VECTORS)) == 5
 
 
 # --- crossover -----------------------------------------------------------------------
@@ -261,7 +268,7 @@ def test_llm_crossover_uses_a_valid_reply(pool):
     p2 = build_genome(kinds=("StepBack",))
     proposal = build_genome(kinds=("Ensemble", "CoT"))
     provider = ScriptedProvider(["Here you go:\n" + serialize(proposal)])
-    evolver = Evolver(provider, "big", retries=3)
+    evolver = Evolver(provider, "big")
     child = crossover([p1, p2], evolver, EvolutionConfig(), np.random.default_rng(0), pool)
     assert [op.kind for op in child.operators] == ["Ensemble", "CoT"]
     assert child.lineage["mode"] == "llm"
@@ -270,11 +277,11 @@ def test_llm_crossover_uses_a_valid_reply(pool):
 def test_llm_crossover_falls_back_after_malformed_replies(pool):
     p1 = build_genome(kinds=("CoT",))
     p2 = build_genome(kinds=("StepBack",))
-    provider = ScriptedProvider(["not json", "still { not json", "nope"])
-    evolver = Evolver(provider, "big", retries=3)
+    provider = ScriptedProvider(["still { not json", serialize(p1)])
+    evolver = Evolver(provider, "big")
     child = crossover([p1, p2], evolver, EvolutionConfig(), np.random.default_rng(0), pool)
     assert child.lineage["mode"] == "fallback"
-    assert len(provider.requests) == 3
+    assert len(provider.requests) == 1
 
 
 # --- mutations -------------------------------------------------------------------------
@@ -322,7 +329,7 @@ def test_mutate_llm_takes_the_evolvers_pick(pool):
     g = build_genome(kinds=("Debate", "Ensemble", "CoT"), model="tiny")
     provider = ScriptedProvider(["I would use mid"])
     out = mutate_llm(g, None, pool, np.random.default_rng(3), rho=0.5,
-                     evolver=Evolver(provider, "big", retries=3))
+                     evolver=Evolver(provider, "big"))
     models = [n.model_id for op in out.operators for n in op.invoking_nodes]
     assert set(models) == {"tiny", "mid"}
     # one request, never retried, per picked node; every picked node swaps
@@ -334,7 +341,7 @@ def test_mutate_llm_falls_back_when_the_evolver_names_no_pool_model(pool):
     g = build_genome(kinds=("Debate", "Ensemble", "CoT"), model="tiny")
     provider = ScriptedProvider(["Understood. Proceeding with the given instructions."])
     with_evolver = mutate_llm(g, None, pool, np.random.default_rng(3), rho=0.5,
-                              evolver=Evolver(provider, "big", retries=3))
+                              evolver=Evolver(provider, "big"))
     without = mutate_llm(g, None, pool, np.random.default_rng(3), rho=0.5)
     assert serialize(with_evolver) == serialize(without) != serialize(g)
     # the fallback swaps every picked node, and each was asked about once
@@ -364,14 +371,14 @@ def test_mutate_prompt_preserves_placeholders(pool):
 
 def test_mutate_prompt_discards_llm_edit_that_drops_placeholder(pool):
     g = build_genome(kinds=("CoT",))
-    evolver = Evolver(ScriptedProvider(["a rewrite with no placeholders at all"]), "big", 3)
+    evolver = Evolver(ScriptedProvider(["a rewrite with no placeholders at all"]), "big")
     out = mutate_prompt(g, None, np.random.default_rng(0), rho=1.0, evolver=evolver)
     assert out.operators[0].invoking_nodes[0].prompt == g.operators[0].invoking_nodes[0].prompt
 
 
 def test_mutate_prompt_accepts_llm_edit_that_keeps_placeholders(pool):
     g = build_genome(kinds=("CoT",))
-    evolver = Evolver(ScriptedProvider(["Improved: {task} {context} -- answer carefully."]), "big", 3)
+    evolver = Evolver(ScriptedProvider(["Improved: {task} {context} -- answer carefully."]), "big")
     out = mutate_prompt(g, None, np.random.default_rng(0), rho=1.0, evolver=evolver)
     assert out.operators[0].invoking_nodes[0].prompt.startswith("Improved:")
 
@@ -438,9 +445,9 @@ def test_niching_area_worked_example():
     b = _vec_genome("b", 0.5, mean_cost=0.6)
     c = _vec_genome("c", 0.1, mean_cost=0.2)
     pop = Population(members=[a, b, c])
-    ranks = combined_ranks(pop, off)
+    ranks = combined_ranks(pop, off, VECTORS)
     assert ranks == {"a": 1, "b": 1, "c": 4}
-    niche = niching_area(pop, off, e=2)
+    niche = niching_area(pop, off, e=2, embedder=VECTORS)
     assert [g.workflow_id for g in niche.area] == ["a", "b"]
 
 
@@ -449,9 +456,9 @@ def test_niching_identical_member_ranks_zero():
     twin = _vec_genome("twin", 0.7, mean_cost=1.25)
     other = _vec_genome("other", -0.2, mean_cost=9.0)
     pop = Population(members=[other, twin])
-    ranks = combined_ranks(pop, off)
+    ranks = combined_ranks(pop, off, VECTORS)
     assert ranks["twin"] == 0
-    niche = niching_area(pop, off, e=1)
+    niche = niching_area(pop, off, e=1, embedder=VECTORS)
     assert niche.area[0].workflow_id == "twin"
 
 
@@ -459,7 +466,7 @@ def test_niching_area_whole_population():
     rng = np.random.default_rng(8)
     members = [_rand_tag_genome(rng, f"w{i}") for i in range(6)]
     off = _rand_tag_genome(rng, "off")
-    niche = niching_area(Population(members=members), off, e=6)
+    niche = niching_area(Population(members=members), off, e=6, embedder=VECTORS)
     assert {g.workflow_id for g in niche.area} == {m.workflow_id for m in members}
 
 
@@ -472,7 +479,7 @@ def test_niching_matches_oracle_on_random_instances():
         e = int(rng.integers(1, n + 1))
         ranks = oracle_combined_ranks(members, off)
         expected = sorted(members, key=lambda g: (ranks[g.workflow_id], g.workflow_id))[:e]
-        got = niching_area(Population(members=members), off, e=e)
+        got = niching_area(Population(members=members), off, e=e, embedder=VECTORS)
         assert [g.workflow_id for g in got.area] == [g.workflow_id for g in expected]
 
 
@@ -873,7 +880,7 @@ def test_choose_workflow_best_mode_matches_similarity():
     strong = _vec_genome("strong", 0.95, mean_cost=2.0)
     weak = _vec_genome("weak", 0.1, mean_cost=0.1)
     pop = Population(members=[weak, strong])
-    got = choose_workflow(pop, unit_vec(8, 1.0), mode="best")
+    got = choose_workflow(pop, unit_vec(8, 1.0), VECTORS, mode="best")
     assert got.workflow_id == "strong"
 
 
@@ -881,19 +888,19 @@ def test_choose_workflow_budget_mode_filters_cost():
     strong = _vec_genome("strong", 0.95, mean_cost=2.0)
     weak = _vec_genome("weak", 0.1, mean_cost=0.1)
     pop = Population(members=[weak, strong])
-    got = choose_workflow(pop, unit_vec(8, 1.0), mode="budget", budget=1.0)
+    got = choose_workflow(pop, unit_vec(8, 1.0), VECTORS, mode="budget", budget=1.0)
     assert got.workflow_id == "weak"
     # nothing affordable -> cheapest member
-    got = choose_workflow(pop, unit_vec(8, 1.0), mode="budget", budget=0.01)
+    got = choose_workflow(pop, unit_vec(8, 1.0), VECTORS, mode="budget", budget=0.01)
     assert got.workflow_id == "weak"
 
 
 def test_choose_workflow_validates_mode():
     pop = Population(members=[_vec_genome("a", 0.5)])
     with pytest.raises(ConfigError):
-        choose_workflow(pop, unit_vec(8, 1.0), mode="budget")
+        choose_workflow(pop, unit_vec(8, 1.0), VECTORS, mode="budget")
     with pytest.raises(ConfigError):
-        choose_workflow(pop, unit_vec(8, 1.0), mode="wat")
+        choose_workflow(pop, unit_vec(8, 1.0), VECTORS, mode="wat")
 
 
 def test_choose_workflow_budget_matches_oracle():
@@ -903,13 +910,14 @@ def test_choose_workflow_budget_matches_oracle():
         budget = float(rng.random() * 5)
         q = rng.normal(size=8)
         q = q / np.linalg.norm(q)
-        got = choose_workflow(Population(members=members), q, mode="budget", budget=budget)
+        got = choose_workflow(Population(members=members), q, VECTORS, mode="budget",
+                              budget=budget)
         affordable = [m for m in members if m.stats.mean_cost <= budget]
         cands = affordable or [min(members, key=lambda g: (g.stats.mean_cost, g.workflow_id))]
         best = min(
             cands,
             key=lambda g: (
-                -sum(float(np.dot(tv, q)) for tv in g.tag_vectors),
+                -sum(float(np.dot(VECTORS.table[t], q)) for t in g.tags),
                 g.stats.mean_cost,
                 g.workflow_id,
             ),
@@ -931,8 +939,8 @@ _TAG_WORDS = ("math proof", "code review", "budget tier", "debate")
 
 
 def _vocab_genome(rng, wid):
-    """An untagged-vector genome whose tags and mean cost come from small sets,
-    so that exact similarity and cost ties happen."""
+    """A genome whose tags and mean cost come from small sets, so that exact
+    similarity and cost ties happen."""
     tags = [str(rng.choice(_TAG_WORDS)) for _ in range(int(rng.integers(1, 4)))]
     cost = float(rng.choice([0.0, 0.5, 1.0]))
     return build_genome(tags=tags, wid=wid, stats=RunStats(exec_count=1, mean_cost=cost))
@@ -952,12 +960,12 @@ def test_infer_chooses_what_choose_workflow_chooses_over_fresh_vectors(pool, sim
         served = Population(members=list(pop.members))
         genome, _ = infer(served, query, HashingEmbedder(dim=dim), sim_provider, pool,
                           mode=mode, budget=budget, call_budget=64)
-        assert served.members == pop.members
-        assert all(m.tag_vectors is None for m in served.members)  # pop is not modified
+        assert served.members == pop.members  # pop is not modified
+        assert any(genome is m for m in pop.members)
 
-        fresh = Population(members=list(pop.members))
-        embedder = HashingEmbedder(dim=dim)
-        ensure_tag_vectors(fresh, embedder)
-        want = choose_workflow(fresh, embedder.embed(query.text), mode=mode, budget=budget)
+        fresh = FreshEmbedder(dim)
+        want = choose_workflow(Population(members=list(pop.members)), fresh.embed(query.text),
+                               fresh, mode=mode, budget=budget)
         assert genome == want
-        assert all(np.array_equal(a, b) for a, b in zip(genome.tag_vectors, want.tag_vectors))
+        cached = HashingEmbedder(dim=dim)
+        assert all(np.array_equal(cached.embed(t), fresh.embed(t)) for t in genome.tags)

@@ -207,28 +207,28 @@ def test_http_provider_recovers_mid_retry():
 
 # --- evolver -----------------------------------------------------------------
 
-def test_evolver_tries_once_unless_asked_to_retry():
-    provider = ScriptedProvider(["bad"])
-    evolver = Evolver(provider, "big", retries=3)
-    assert evolver.ask("p", lambda reply: None) is None
+def test_evolver_asks_once():
+    provider = ScriptedProvider(["bad", "good"])
+    evolver = Evolver(provider, "big")
+    assert evolver.ask("p", lambda reply: reply if reply == "good" else None) is None
     assert len(provider.requests) == 1
-    assert evolver.ask("p", lambda reply: None, retry=True) is None
-    assert len(provider.requests) == 4
+    assert evolver.ask("p", lambda reply: reply if reply == "good" else None) == "good"
+    assert len(provider.requests) == 2
 
 
 def test_evolver_returns_the_first_parsed_reply():
-    provider = ScriptedProvider(["bad", "good", "later"])
-    evolver = Evolver(provider, "big", retries=3)
-    assert evolver.ask("p", lambda reply: reply if reply == "good" else None, retry=True) == "good"
-    assert [r.model_id for r in provider.requests] == ["big", "big"]
+    provider = ScriptedProvider(["good", "later"])
+    evolver = Evolver(provider, "big")
+    assert evolver.ask("p", lambda reply: reply if reply == "good" else None) == "good"
+    assert [r.model_id for r in provider.requests] == ["big"]
     assert provider.requests[0].temperature == 1.0
     assert provider.requests[0].messages == ({"role": "user", "content": "p"},)
 
 
 def test_evolver_logs_a_swallowed_provider_failure(caplog):
-    evolver = Evolver(ScriptedProvider(["x"], fail_after=0), "big", retries=3)
+    evolver = Evolver(ScriptedProvider(["x"], fail_after=0), "big")
     with caplog.at_level("WARNING", logger="nicheflow.provider"):
-        assert evolver.ask("p", str, retry=True) is None
+        assert evolver.ask("p", str) is None
     [record] = caplog.records
     assert record.levelname == "WARNING"
     assert "big" in record.getMessage()
