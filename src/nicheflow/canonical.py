@@ -1,10 +1,10 @@
 """Canonical text encoding for documents that must be byte-reproducible.
 
-All on-disk artifacts (genomes, configs, step logs, manifests, experience
-logs) go through ``dumps`` so that structurally equal objects always produce
+All on-disk artifacts (genomes, configs, the step log, manifests) go
+through ``dumps`` so that structurally equal objects always produce
 identical bytes: keys sorted, compact separators, and floats written as their
 shortest round-trip repr, so a document read back holds the very floats that
-were written. The append-only logs hold one such document per line, written
+were written. The append-only step log holds one such document per line, written
 by ``write_line`` to a log ``open_log`` opened, read by ``read_lines``.
 """
 

@@ -8,7 +8,6 @@ bench --suite PATH. Exit codes: 0 success, 2 config error, 3 provider error,
 import argparse
 import json
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from .config import RunConfig, load_config
 from .errors import BudgetExceeded, ConfigError, NicheflowError, ProviderError, StorageError
 from .evolution import EvolveDeps, Population, evolve_step, infer, init_population
 from .executor import TaskQuery, evaluate
-from .memory import LlmExperiencePool, WorkflowExperiencePool
+from .memory import LlmExperiencePool, WorkflowExperiencePool, fold_report
 from .snapshot import RunLock, append_step_report, load_population, repair_step_log, save_population
 from .templates import DEFAULT_OPERATOR_REPO
 
@@ -30,39 +29,20 @@ def _step_rng(seed: int, step: int) -> np.random.Generator:
     return np.random.default_rng([seed, 1000 + step])
 
 
-@contextmanager
-def _evolve_deps(cfg: RunConfig):
-    """The dependencies of init and evolve; both experience logs are closed on exit."""
-    deps = EvolveDeps(
-        cfg=cfg.evolution,
-        pool=cfg.model_pool(),
-        provider=cfg.make_provider(),
-        embedder=cfg.make_embedder(),
-        llm_pool=LlmExperiencePool(cfg.run_dir / "memory" / "llm_pool.log"),
-        wf_pool=WorkflowExperiencePool(cfg.run_dir / "memory" / "wf_pool.log"),
-    )
-    try:
-        yield deps
-    finally:
-        deps.llm_pool.close()
-        deps.wf_pool.close()
-
-
 def _task_stream(cfg: RunConfig):
     suite = generate_suite(cfg.domains, cfg.tasks_per_domain, seed=cfg.seed)
     return interleave_tasks(suite)
 
 
 def cmd_init(cfg: RunConfig) -> Population:
-    with RunLock(cfg.run_dir), _evolve_deps(cfg) as deps:
-        rng = np.random.default_rng([cfg.seed, 0])
+    with RunLock(cfg.run_dir):
         pop = init_population(
             cfg.evolution,
             DEFAULT_OPERATOR_REPO,
-            deps.pool,
-            deps.embedder,
-            rng,
-            provider=deps.provider,
+            cfg.model_pool(),
+            cfg.make_embedder(),
+            np.random.default_rng([cfg.seed, 0]),
+            provider=cfg.make_provider(),
             seed=cfg.seed,
         )
         save_population(pop, cfg.run_dir, cfg.config_hash)
@@ -76,16 +56,25 @@ def cmd_evolve(cfg: RunConfig, steps: int) -> Population:
             raise ConfigError(
                 f"snapshot was created with config {saved_hash}, current is {cfg.config_hash}"
             )
-        repair_step_log(cfg.run_dir, pop.generation)
+        deps = EvolveDeps(
+            cfg=cfg.evolution,
+            pool=cfg.model_pool(),
+            provider=cfg.make_provider(),
+            embedder=cfg.make_embedder(),
+            llm_pool=LlmExperiencePool(),
+            wf_pool=WorkflowExperiencePool(),
+        )
+        # the experience of the steps the snapshot has seen, from their reports
+        for report in repair_step_log(cfg.run_dir, pop.generation):
+            fold_report(report, deps.llm_pool, deps.wf_pool)
         tasks = _task_stream(cfg)
         start = pop.generation
-        with _evolve_deps(cfg) as deps:
-            for step in range(start, start + steps):
-                query = tasks[step % len(tasks)]
-                pop, report = evolve_step(pop, query, deps, _step_rng(cfg.seed, step))
-                append_step_report(cfg.run_dir, report.to_doc())
-                if (step + 1 - start) % cfg.checkpoint_interval == 0:
-                    save_population(pop, cfg.run_dir, cfg.config_hash)
+        for step in range(start, start + steps):
+            query = tasks[step % len(tasks)]
+            pop, report = evolve_step(pop, query, deps, _step_rng(cfg.seed, step))
+            append_step_report(cfg.run_dir, report.to_doc())
+            if (step + 1 - start) % cfg.checkpoint_interval == 0:
+                save_population(pop, cfg.run_dir, cfg.config_hash)
         save_population(pop, cfg.run_dir, cfg.config_hash)
     return pop
 

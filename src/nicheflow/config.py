@@ -14,7 +14,7 @@ from typing import Optional
 from . import canonical
 from .bench import DomainSpec
 from .embedding import HashingEmbedder
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInput
 from .evolution import EvolutionConfig
 from .genome import ModelPool, ModelSpec
 from .provider import HttpProvider, SimModelProfile, SimulatedProvider
@@ -83,6 +83,8 @@ def _fields(doc, what: str, convert: dict) -> dict:
             values[key] = convert[key](value)
         except (TypeError, ValueError) as e:
             raise ConfigError(f"bad {what} {key!r}: {e}") from e
+        except InvalidInput as e:  # a value its class rejects, named by the message
+            raise ConfigError(str(e)) from e
     return values
 
 
@@ -167,7 +169,10 @@ def parse_config(doc: dict, run_dir_override: Optional[str] = None) -> RunConfig
     if not cfg.models:
         raise ConfigError("config needs at least one model")
     cfg.evolution.check()
-    cfg.model_pool()  # re-check pool invariants
+    try:
+        cfg.model_pool()  # the pool's invariants: unique ids, prices >= 0
+    except InvalidInput as e:
+        raise ConfigError(str(e)) from e
     if cfg.backend not in ("simulated", "http"):
         raise ConfigError(f"unknown backend {cfg.backend!r}")
     if cfg.checkpoint_interval < 1:
@@ -178,6 +183,9 @@ def parse_config(doc: dict, run_dir_override: Optional[str] = None) -> RunConfig
         raise ConfigError("embedding_dim must be >= 2")
     if not cfg.domains:
         raise ConfigError("domains must be nonempty")
+    labels = [d.label for d in cfg.domains]
+    if len(set(labels)) != len(labels):
+        raise ConfigError(f"label must be unique across domains, got {labels}")
     if cfg.tasks_per_domain < 1:
         raise ConfigError("tasks_per_domain must be >= 1")
     return cfg

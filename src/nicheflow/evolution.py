@@ -26,14 +26,7 @@ from .genome import (
     serialize,
     validate,
 )
-from .memory import (
-    LlmExperiencePool,
-    LlmExperienceRecord,
-    WorkflowExperiencePool,
-    WorkflowExperienceRecord,
-    default_commentary,
-    verdict_from_perf,
-)
+from .memory import LlmExperiencePool, WorkflowExperiencePool, fold_report
 from .operators import topological_order
 from .provider import Evolver, SimulatedProvider
 from .templates import (
@@ -464,10 +457,12 @@ def mutate_prompt(
 
 
 def _llm_rewrite_prompt(node, genome, wf_pool, evolver: Evolver) -> Optional[str]:
-    summary = (
-        wf_pool.query_summary(genome.workflow_id) if wf_pool is not None else None
-    )
-    history = "\n".join(summary.recent_commentaries) if summary else "(none)"
+    # An offspring inherits its prompts from its first parent, so that
+    # parent's outcomes are the history of the prompt being rewritten.
+    history = "(none)"
+    if wf_pool is not None:
+        first_parent = (genome.lineage.get("parents") or [genome.workflow_id])[0]
+        history = "\n".join(wf_pool.query_summary(first_parent).recent_commentaries) or "(none)"
     prompt = PROMPT_MUTATION_PROMPT.format(HISTORY=history, PROMPT=node.prompt)
     return evolver.ask(prompt, lambda reply: reply.strip() or None)
 
@@ -686,12 +681,17 @@ class EvolveDeps:
 
 @dataclass
 class StepReport:
+    """One line of ``steps.jsonl``: the only record of a step, from which
+    the experience pools are folded (``memory.fold_report``). Each
+    evaluation holds the member's perf, cost and sorted model ids."""
+
     generation: int
     query_id: str
+    domain: str
     offspring_id: str
     accepted: bool
     eliminated_id: str
-    evaluations: dict[str, dict[str, float]]
+    evaluations: dict[str, dict]
 
     def to_doc(self) -> dict:
         return asdict(self)
@@ -706,7 +706,9 @@ def evolve_step(
     """One full evolution iteration on a single query: retrieve parents,
     breed and mutate an offspring, build the niching pool, execute and update
     stats, then environmentally select. The niche members execute on one
-    thread each unless the provider is a ``SimulatedProvider``."""
+    thread each unless the provider is a ``SimulatedProvider``. The step's
+    report is folded into the experience pools last, so a step that raises
+    leaves them as they were."""
     cfg = deps.cfg
     cfg.check()
     evolver = make_evolver(cfg, deps.provider, deps.pool)
@@ -744,10 +746,10 @@ def evolve_step(
             # over-budget genomes score zero but still pay for their calls
             return 0.0, e.partial_cost
 
-    # Results are consumed in id order on this thread, so stats, reports and
-    # experience appends keep the serial order whichever mapper runs them.
+    # Results are consumed in id order on this thread, so stats and the
+    # report keep the serial order whichever mapper runs them.
     members = sorted(niche.exec_members, key=lambda g: g.workflow_id)
-    evaluations: dict[str, dict[str, float]] = {}
+    evaluations: dict[str, dict] = {}
     updated: dict[str, WorkflowGenome] = {}
     with ThreadPoolExecutor(max_workers=len(members)) as workers:
         # The simulated backend never waits and holds the GIL for each call,
@@ -756,8 +758,8 @@ def evolve_step(
         for genome, (perf, cost) in zip(members, mapper(run, members)):
             new_genome = update_stats(genome, cost, perf)
             updated[new_genome.workflow_id] = new_genome
-            evaluations[new_genome.workflow_id] = {"perf": perf, "cost": cost}
-            _append_experience(deps, new_genome, query, perf, cost)
+            models = sorted({n.model_id for op in genome.operators for n in op.invoking_nodes})
+            evaluations[new_genome.workflow_id] = {"perf": perf, "cost": cost, "models": models}
 
     for wid, genome in updated.items():
         if wid in pop.ids:
@@ -774,44 +776,14 @@ def evolve_step(
     report = StepReport(
         generation=new_pop.generation,
         query_id=query.query_id,
+        domain=query.domain,
         offspring_id=offspring.workflow_id,
         accepted=eliminated != offspring.workflow_id,
         eliminated_id=eliminated,
         evaluations=evaluations,
     )
+    fold_report(vars(report), deps.llm_pool, deps.wf_pool)
     return new_pop, report
-
-
-def _append_experience(deps, genome, query, perf, cost) -> None:
-    verdict = verdict_from_perf(perf)
-    kinds = [op.kind for op in genome.operators]
-    if deps.wf_pool is not None:
-        deps.wf_pool.append(
-            WorkflowExperienceRecord(
-                workflow_id=genome.workflow_id,
-                query_id=query.query_id,
-                verdict=verdict,
-                commentary=default_commentary("workflow", verdict, query.domain, kinds),
-                perf=perf,
-                cost=cost,
-                domain=query.domain,
-            )
-        )
-    if deps.llm_pool is not None:
-        used_models = sorted(
-            {n.model_id for op in genome.operators for n in op.invoking_nodes}
-        )
-        for model_id in used_models:
-            deps.llm_pool.append(
-                LlmExperienceRecord(
-                    model_id=model_id,
-                    workflow_id=genome.workflow_id,
-                    query_id=query.query_id,
-                    verdict=verdict,
-                    commentary=default_commentary(model_id, verdict, query.domain, kinds),
-                    domain=query.domain,
-                )
-            )
 
 
 # --- inference ------------------------------------------------------------

@@ -41,9 +41,10 @@ class ModelPool:
             if not spec.model_id:
                 raise InvalidInput("model_id must be nonempty")
             if spec.model_id in self._specs:
-                raise InvalidInput(f"duplicate model_id {spec.model_id!r}")
-            if spec.prompt_price < 0 or spec.completion_price < 0:
-                raise InvalidInput(f"negative price for model {spec.model_id!r}")
+                raise InvalidInput(f"model_id must be unique: {spec.model_id!r} repeats")
+            for name in ("prompt_price", "completion_price"):
+                if getattr(spec, name) < 0:
+                    raise InvalidInput(f"{name} must be >= 0 for model {spec.model_id!r}")
             self._specs[spec.model_id] = spec
 
     def __contains__(self, model_id: str) -> bool:

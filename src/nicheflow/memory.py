@@ -1,20 +1,19 @@
-"""Experience pools: append-only per-model and per-workflow outcome logs with
-summary views that feed the mutation operators.
+"""Experience pools: per-model and per-workflow verdict counts, with summary
+views that feed the mutation operators.
+
+The pools keep no record of their own: ``steps.jsonl`` is the only one.
+``fold_report`` turns one step report into pool appends. ``evolve_step``
+folds each report it builds, and ``evolve`` first folds the reports it
+resumes from, so a resumed run's pools are those of an uninterrupted run.
 
 Both pools are one class, ``_ExperiencePool``, keyed by a different record
-field (``model_id`` or ``workflow_id``). A record is one canonical line
-holding its fields. A file-backed pool opens its log at the first append and
-holds it until ``close``, flushing each line. On load each line is folded
-straight into the per-key and per-(key, domain) summaries; no pool keeps its
-records. A torn final line (crash mid-append) is skipped with a warning and
-cut from the file (``canonical.read_lines``).
+field (``model_id`` or ``workflow_id``), summarised per key and per (key,
+domain).
 """
 
 from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Iterable, Optional, TextIO
+from typing import Optional
 
-from . import canonical
 from .errors import InvalidInput
 
 VERDICTS = ("Positive", "Negative")
@@ -23,11 +22,10 @@ VERDICTS = ("Positive", "Negative")
 @dataclass(frozen=True)
 class LlmExperienceRecord:
     model_id: str
-    workflow_id: str
-    query_id: str
     verdict: str  # Positive | Negative
-    commentary: str
     domain: str
+
+    commentary = ""  # a model's outcomes are counted, never quoted
 
     def __post_init__(self):
         if self.verdict not in VERDICTS:
@@ -37,12 +35,9 @@ class LlmExperienceRecord:
 @dataclass(frozen=True)
 class WorkflowExperienceRecord:
     workflow_id: str
-    query_id: str
     verdict: str  # Positive | Negative
-    commentary: str
-    perf: float
-    cost: float
-    domain: str = "general"
+    domain: str
+    commentary: str  # the history line a prompt rewrite quotes
 
     def __post_init__(self):
         if self.verdict not in VERDICTS:
@@ -65,50 +60,26 @@ def verdict_from_perf(perf: float) -> str:
     return "Positive" if perf >= 1.0 else "Negative"
 
 
-def default_commentary(model_id: str, verdict: str, domain: str, kinds: Iterable[str]) -> str:
-    outcome = "succeeded" if verdict == "Positive" else "failed"
-    return f"model {model_id} {outcome} on domain {domain} via operator kinds {sorted(set(kinds))}"
-
-
 class _ExperiencePool:
     """Verdict counts plus the last 10 commentaries per ``(key, None)`` and
-    ``(key, domain)``, where the key is the record field ``key_field``;
-    file-backed when given a path."""
+    ``(key, domain)``, where the key is the record field ``key_field``."""
 
     key_field: str
 
-    def __init__(self, path: Optional[Path] = None):
-        self.path = Path(path) if path is not None else None
+    def __init__(self):
         self._summaries: dict[tuple, ExperienceSummary] = {}
-        self._log: Optional[TextIO] = None
-        if self.path is not None:
-            for doc in canonical.read_lines(self.path):
-                self._fold(doc)
 
-    def _fold(self, doc: dict) -> None:
-        key = doc[self.key_field]
-        for summary_key in ((key, None), (key, doc["domain"])):
+    def append(self, record: LlmExperienceRecord | WorkflowExperienceRecord) -> None:
+        key = getattr(record, self.key_field)
+        for summary_key in ((key, None), (key, record.domain)):
             summary = self._summaries.setdefault(summary_key, ExperienceSummary())
-            if doc["verdict"] == "Positive":
+            if record.verdict == "Positive":
                 summary.positive_count += 1
             else:
                 summary.negative_count += 1
-            summary.recent_commentaries.append(doc["commentary"])
-            del summary.recent_commentaries[:-10]
-
-    def append(self, record: LlmExperienceRecord | WorkflowExperienceRecord) -> None:
-        doc = vars(record)
-        if self.path is not None:
-            if self._log is None:
-                self._log = canonical.open_log(self.path)
-            canonical.write_line(self._log, doc)
-        self._fold(doc)
-
-    def close(self) -> None:
-        """Close the log; a later append opens it again."""
-        if self._log is not None:
-            self._log.close()
-            self._log = None
+            if record.commentary:
+                summary.recent_commentaries.append(record.commentary)
+                del summary.recent_commentaries[:-10]
 
     def query_summary(self, key: str, domain: Optional[str] = None) -> ExperienceSummary:
         hit = self._summaries.get((key, domain))
@@ -121,12 +92,33 @@ class _ExperiencePool:
 # ``__init__`` and ``append``, and a subclass of a wrapped class would run
 # both wrappers.
 class LlmExperiencePool(_ExperiencePool):
-    """Per-model outcome pool (default file: memory/llm_pool.log)."""
+    """Per-model outcome pool."""
 
     key_field = "model_id"
 
 
 class WorkflowExperiencePool(_ExperiencePool):
-    """Per-workflow outcome pool (default file: memory/wf_pool.log)."""
+    """Per-workflow outcome pool."""
 
     key_field = "workflow_id"
+
+
+def fold_report(
+    report: dict,
+    llm_pool: Optional[LlmExperiencePool],
+    wf_pool: Optional[WorkflowExperiencePool],
+) -> None:
+    """Append one step report's outcomes: per evaluated member, in id order,
+    one workflow record and one record per model the member uses."""
+    domain = report["domain"]
+    for workflow_id, evaluation in report["evaluations"].items():
+        verdict = verdict_from_perf(evaluation["perf"])
+        if wf_pool is not None:
+            commentary = (
+                f"{verdict} on {domain} query {report['query_id']}: "
+                f"perf {evaluation['perf']:g}, cost {evaluation['cost']:.3g}"
+            )
+            wf_pool.append(WorkflowExperienceRecord(workflow_id, verdict, domain, commentary))
+        if llm_pool is not None:
+            for model_id in evaluation["models"]:
+                llm_pool.append(LlmExperienceRecord(model_id, verdict, domain))

@@ -134,11 +134,18 @@ class SimModelProfile:
     prompt_tokens: int = 200
     completion_tokens: int = 100
 
+    def __post_init__(self):
+        for domain, p in self.success_by_domain.items():
+            if not 0.0 <= p <= 1.0:
+                raise InvalidInput(f"success_by_domain must be in [0, 1]: {domain!r} has {p}")
+        if not 0.0 <= self.default_success <= 1.0:
+            raise InvalidInput(f"default_success must be in [0, 1], got {self.default_success}")
+        for name in ("prompt_tokens", "completion_tokens"):
+            if getattr(self, name) < 0:
+                raise InvalidInput(f"{name} must be >= 0, got {getattr(self, name)}")
+
     def success_prob(self, domain: str) -> float:
-        p = self.success_by_domain.get(domain, self.default_success)
-        if not (0.0 <= p <= 1.0):
-            raise InvalidInput(f"success probability {p} out of [0,1]")
-        return p
+        return self.success_by_domain.get(domain, self.default_success)
 
 
 class SimulatedProvider:

@@ -126,15 +126,26 @@ class RunLock:
         return False
 
 
-def repair_step_log(run_dir, generation: int) -> None:
-    """Cut a report torn by a crash mid-append (``canonical.read_lines``), and
-    every report past ``generation``, the snapshot's: after a crash between
-    checkpoints, ``evolve`` resumes from that snapshot and replays those steps."""
-    reports = canonical.read_lines(
-        Path(run_dir) / "steps.jsonl", cut_from=lambda report: report["generation"] > generation,
-    )
-    for _ in reports:
-        pass
+def repair_step_log(run_dir, generation: int) -> list[dict]:
+    """The reports of ``steps.jsonl`` up to ``generation``, the snapshot's.
+
+    A report torn by a crash mid-append is cut (``canonical.read_lines``), and
+    so is every report past ``generation``: after a crash between
+    checkpoints, ``evolve`` resumes from that snapshot and replays those
+    steps. The kept reports must cover generations 1 to ``generation``, each
+    with the fields that experience is folded from; a report without them
+    was written before the step log held them."""
+    path = Path(run_dir) / "steps.jsonl"
+    reports = list(canonical.read_lines(path, cut_from=lambda r: r["generation"] > generation))
+    if [r["generation"] for r in reports] != list(range(1, generation + 1)):
+        raise StorageError(f"{path} does not hold one report per generation 1-{generation}")
+    for r in reports:
+        if "domain" not in r or any("models" not in e for e in r["evaluations"].values()):
+            raise StorageError(
+                f"{path}: the report of generation {r['generation']} has no domain or model ids;"
+                " it was written by an older version, so its experience cannot be folded"
+            )
+    return reports
 
 
 def append_step_report(run_dir, report_doc: dict) -> None:

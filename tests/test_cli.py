@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nicheflow import cli, config, embedding, snapshot
 from nicheflow.bench import DomainSpec
@@ -16,7 +18,6 @@ from nicheflow.embedding import HashingEmbedder
 from nicheflow.errors import BudgetExceeded, ConfigError, StorageError
 from nicheflow.evolution import EvolutionConfig, Population, choose_workflow
 from nicheflow.genome import ModelSpec, RunStats, deserialize, serialize
-from nicheflow.memory import LlmExperiencePool, WorkflowExperiencePool
 from nicheflow.provider import SimModelProfile
 from nicheflow.snapshot import RunLock, load_population, save_population
 
@@ -107,6 +108,16 @@ _UNKNOWN_KEYS = [
     ({"hyperparameters": {"retries": 3}}, "retries"),
 ]
 
+
+def _models(sim=None, **change):
+    """The models of ``_config_doc`` with the first one's keys changed, and
+    its ``"sim"`` keys updated by ``sim``."""
+    models = [dict(m) for m in _config_doc(None)["models"]]
+    models[0].update(change)
+    models[0]["sim"] = {**models[0]["sim"], **(sim or {})}
+    return models
+
+
 # A value outside its range, and its name.
 _OUT_OF_RANGE = [
     ({"seed": -1}, "seed"),
@@ -121,6 +132,17 @@ _OUT_OF_RANGE = [
     ({"suite": {"tasks_per_domain": -3}}, "tasks_per_domain"),
     ({"embedding_dim": 1}, "embedding_dim"),
     ({"suite": {"domains": []}}, "domains"),
+    ({"models": _models(prompt_price=-1.0)}, "prompt_price"),
+    ({"models": _models(completion_price=-0.1)}, "completion_price"),
+    ({"models": _models(model_id="")}, "model_id"),
+    ({"models": _models(model_id="small")}, "model_id"),  # a duplicate
+    ({"models": _models(sim={"success_by_domain": {"easy": 1.5}})}, "success_by_domain"),
+    ({"models": _models(sim={"success_by_domain": {"hard": -0.2}})}, "success_by_domain"),
+    ({"models": _models(sim={"default_success": 2.0})}, "default_success"),
+    ({"models": _models(sim={"prompt_tokens": -1})}, "prompt_tokens"),
+    ({"models": _models(sim={"completion_tokens": -5})}, "completion_tokens"),
+    ({"suite": {"domains": [{"label": "easy", "difficulty": 0.2},
+                            {"label": "easy", "difficulty": 0.8}]}}, "label"),
 ]
 
 
@@ -455,10 +477,11 @@ def test_cli_evolve_then_infer(tmp_path, capsys):
 
 
 def test_cli_infer_and_bench_do_not_read_experience_logs(tmp_path):
+    """Experience is folded from ``steps.jsonl``: only ``evolve`` reads it."""
     path, run_dir = _write_config(tmp_path)
     assert main(["--config", str(path), "init"]) == 0
-    assert main(["--config", str(path), "evolve", "--steps", "2"]) == 0
-    log = run_dir / "memory" / "llm_pool.log"
+    assert main(["--config", str(path), "evolve", "--steps", "3"]) == 0
+    log = run_dir / "steps.jsonl"
     lines = log.read_text().splitlines()
     lines[1] = "{corrupt"
     log.write_text("\n".join(lines) + "\n")
@@ -466,6 +489,41 @@ def test_cli_infer_and_bench_do_not_read_experience_logs(tmp_path):
     assert main(["--config", str(path), "bench", "--suite", str(tmp_path / "suite.json")]) == 0
     # evolve reads the log, and refuses the corrupt middle record
     assert main(["--config", str(path), "evolve", "--steps", "1"]) == 4
+
+
+def test_cli_init_and_evolve_write_only_the_snapshot_and_the_step_log(tmp_path):
+    path, run_dir = _write_config(tmp_path)
+    assert main(["--config", str(path), "init"]) == 0
+    assert sorted(p.name for p in run_dir.iterdir()) == ["population"]
+    assert main(["--config", str(path), "evolve", "--steps", "2"]) == 0
+    assert sorted(p.name for p in run_dir.iterdir()) == ["population", "steps.jsonl"]
+    report = json.loads((run_dir / "steps.jsonl").read_text().splitlines()[0])
+    assert report["domain"] == "easy"
+    for evaluation in report["evaluations"].values():
+        assert set(evaluation) == {"perf", "cost", "models"}
+        assert evaluation["models"] == sorted(set(evaluation["models"]))
+
+
+@pytest.mark.parametrize("damage", [
+    lambda reports: reports[1].pop("domain"),
+    lambda reports: [e.pop("models") for e in reports[1]["evaluations"].values()],
+    lambda reports: reports.pop(1),
+], ids=["no-domain", "no-models", "a-generation-missing"])
+def test_cli_evolve_refuses_a_step_log_it_cannot_fold(tmp_path, capsys, damage):
+    """A report without ``domain`` or ``models`` comes from a run dir written
+    by an older version, and a missing report leaves a step's experience
+    out: neither is folded as if it held none."""
+    path, run_dir = _write_config(tmp_path)
+    assert main(["--config", str(path), "init"]) == 0
+    assert main(["--config", str(path), "evolve", "--steps", "3"]) == 0
+    log = run_dir / "steps.jsonl"
+    reports = [json.loads(line) for line in log.read_text().splitlines()]
+    damage(reports)
+    log.write_text("".join(json.dumps(r) + "\n" for r in reports))
+    capsys.readouterr()
+    assert main(["--config", str(path), "evolve", "--steps", "1"]) == 4
+    assert "steps.jsonl" in capsys.readouterr().err
+    assert load_population(run_dir)[0].generation == 3
 
 
 @pytest.mark.parametrize("config_doc, steps, chunks", [
@@ -488,11 +546,68 @@ def test_cli_resume_matches_uninterrupted_run(tmp_path, config_doc, steps, chunk
     whole, resumed = run_dirs
     names = sorted(p.name for p in (whole / "population").iterdir())
     assert names == sorted(p.name for p in (resumed / "population").iterdir())
-    files = [Path("population", name) for name in names] + [
-        Path("steps.jsonl"), Path("memory", "llm_pool.log"), Path("memory", "wf_pool.log"),
-    ]
+    files = [Path("population", name) for name in names] + [Path("steps.jsonl")]
     for rel in files:
         assert (whole / rel).read_bytes() == (resumed / rel).read_bytes(), rel
+
+
+class _Crash(Exception):
+    """The process dies: nothing after the raise runs."""
+
+
+def _run_files(run_dir) -> dict:
+    return {p.relative_to(run_dir): p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    steps=st.integers(2, 24),
+    interval=st.integers(1, 6),
+    crash=st.data(),
+    where=st.sampled_from(["in the step", "mid-append", "after the append"]),
+)
+def test_cli_resume_after_a_crash_at_any_step_matches_the_uninterrupted_run(
+    tmp_path_factory, steps, interval, crash, where
+):
+    """A run that dies while it makes generation ``crash_at`` and is then
+    resumed leaves every file byte for byte as an uninterrupted run does."""
+    crash_at = crash.draw(st.integers(1, steps), label="crash_at")
+    tmp = tmp_path_factory.mktemp("crash")
+    run_dirs = {}
+    for label in ("whole", "crashed"):
+        run_dir = tmp / label
+        path = tmp / f"{label}.json"
+        path.write_text(json.dumps(_config_doc(run_dir, checkpoint_interval=interval)))
+        assert main(["--config", str(path), "init"]) == 0
+        run_dirs[label] = (path, run_dir)
+    path, whole = run_dirs["whole"]
+    assert main(["--config", str(path), "evolve", "--steps", str(steps)]) == 0
+
+    path, crashed = run_dirs["crashed"]
+    evolve_step, append_step_report = cli.evolve_step, cli.append_step_report
+
+    def dying_step(pop, *args):
+        if where == "in the step" and pop.generation + 1 == crash_at:
+            raise _Crash
+        return evolve_step(pop, *args)
+
+    def dying_append(run_dir, doc):
+        if where == "mid-append" and doc["generation"] == crash_at:
+            with (run_dir / "steps.jsonl").open("a") as fh:
+                fh.write(json.dumps(doc)[:40])
+            raise _Crash
+        append_step_report(run_dir, doc)
+        if where == "after the append" and doc["generation"] == crash_at:
+            raise _Crash
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "evolve_step", dying_step)
+        mp.setattr(cli, "append_step_report", dying_append)
+        with pytest.raises(_Crash):
+            main(["--config", str(path), "evolve", "--steps", str(steps)])
+    left = steps - load_population(crashed)[0].generation
+    assert main(["--config", str(path), "evolve", "--steps", str(left)]) == 0
+    assert _run_files(crashed) == _run_files(whole)
 
 
 def test_cli_evolve_cuts_a_torn_step_report(tmp_path):
@@ -526,30 +641,6 @@ def test_cli_evolve_resumed_after_a_crash_between_checkpoints_keeps_one_report_p
     assert main(["--config", str(path), "evolve", "--steps", "5"]) == 0
     lines = (run_dir / "steps.jsonl").read_text().splitlines()
     assert [json.loads(line)["generation"] for line in lines] == list(range(1, 16))
-
-
-def test_cli_evolve_closes_both_experience_logs_when_a_step_raises(tmp_path, monkeypatch):
-    path, _ = _write_config(tmp_path)
-    assert main(["--config", str(path), "init"]) == 0
-    closed = []
-    for cls in (LlmExperiencePool, WorkflowExperiencePool):
-        def close(self, original=cls.close):
-            closed.append(type(self).__name__)
-            original(self)
-        monkeypatch.setattr(cls, "close", close)
-    steps = []
-
-    def evolve_step(*args):
-        steps.append(args)
-        if len(steps) == 2:
-            raise StorageError("disk full")
-        return cli_evolve_step(*args)
-
-    cli_evolve_step = cli.evolve_step
-    monkeypatch.setattr(cli, "evolve_step", evolve_step)
-    assert main(["--config", str(path), "evolve", "--steps", "3"]) == 4
-    assert len(steps) == 2
-    assert sorted(closed) == ["LlmExperiencePool", "WorkflowExperiencePool"]
 
 
 def test_cli_evolve_rejects_config_drift(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """``evolve_step`` runs the niche members concurrently unless the backend is
-the simulated one; on either path the step's records keep the serial order,
-also when a member's execution fails."""
+the simulated one; on either path a step that fails leaves the experience
+pools as they were."""
 
+import copy
+import dataclasses
 import threading
 
 import numpy as np
@@ -27,31 +29,21 @@ class _BigIsDown(SimulatedProvider):
         return super().chat(req)
 
 
-def _failed_step_logs(provider, run_dir):
-    """Both experience logs after one step that fails with ProviderError."""
-    llm_pool = LlmExperiencePool(run_dir / "llm_pool.log")
-    wf_pool = WorkflowExperiencePool(run_dir / "wf_pool.log")
+@pytest.mark.parametrize("concurrent", [False, True], ids=["serial", "concurrent"])
+def test_a_failing_step_leaves_the_pools_unchanged(concurrent):
     pop, deps, tasks = library_setup(
-        EvolutionConfig(), provider, SEED, llm_pool=llm_pool, wf_pool=wf_pool
+        EvolutionConfig(), SimulatedProvider(SIM_PROFILES, seed=SEED), SEED,
+        llm_pool=LlmExperiencePool(), wf_pool=WorkflowExperiencePool(),
     )
-    try:
-        with pytest.raises(ProviderError):
-            evolve_step(pop, tasks[0], deps, np.random.default_rng([SEED, 1000]))
-    finally:
-        llm_pool.close()
-        wf_pool.close()
-    return llm_pool.path.read_bytes(), wf_pool.path.read_bytes()
-
-
-def test_a_failing_member_leaves_the_serial_paths_records(tmp_path):
-    (tmp_path / "serial").mkdir()
-    (tmp_path / "concurrent").mkdir()
-    serial = _failed_step_logs(_BigIsDown(SIM_PROFILES, seed=SEED), tmp_path / "serial")
-    concurrent = _failed_step_logs(
-        InFlightProvider(_BigIsDown(SIM_PROFILES, seed=SEED)), tmp_path / "concurrent"
-    )
-    assert concurrent == serial
-    assert len(serial[1].splitlines()) == 2  # the members before the failing one
+    for step in range(3):  # pools with some experience in them
+        pop, _ = evolve_step(pop, tasks[step], deps, np.random.default_rng([SEED, 1000 + step]))
+    before = copy.deepcopy((deps.llm_pool._summaries, deps.wf_pool._summaries))
+    assert all(before)
+    down = _BigIsDown(SIM_PROFILES, seed=SEED)
+    failing = dataclasses.replace(deps, provider=InFlightProvider(down) if concurrent else down)
+    with pytest.raises(ProviderError):
+        evolve_step(pop, tasks[3], failing, np.random.default_rng([SEED, 1003]))
+    assert (deps.llm_pool._summaries, deps.wf_pool._summaries) == before
 
 
 def test_simulated_backend_answers_every_call_on_the_calling_thread():

@@ -304,9 +304,9 @@ def test_mutate_llm_always_swaps_at_rho_one(pool):
 
 def test_mutate_llm_prefers_historically_positive_models(pool):
     llm_pool = LlmExperiencePool()
-    for i in range(30):
+    for _ in range(30):
         for model, verdict in [("big", "Positive"), ("mid", "Negative"), ("small", "Negative")]:
-            llm_pool.append(LlmExperienceRecord(model, "wf", f"q{i}", verdict, "c", "easy"))
+            llm_pool.append(LlmExperienceRecord(model, verdict, "easy"))
     g = build_genome(kinds=("CoT",), model="tiny")
     rng = np.random.default_rng(123)
     picks = {"big": 0, "mid": 0, "small": 0}

@@ -3,8 +3,8 @@
 Criterion 5 compares two runs made by the same code, so it cannot notice a
 change that moves every run the same way. These digests pin the bytes
 themselves; a refactor that claims to keep behaviour must keep them. The
-experience logs of the CLI run are pinned too: their records carry no
-wall-clock time, so they are as reproducible as the snapshot.
+step log is the run's only record besides the snapshot: the experience pools
+are folded from it.
 """
 
 import hashlib
@@ -31,9 +31,8 @@ from conftest import (
 )
 from test_acceptance import _cli_config_doc
 
-CLI_RUN_SHA256 = "8d73cbb104bd7d67c935fdd28117fe1ab4aaf47958a2fe24fecd228992ebb796"
-LLM_RUN_SHA256 = "fea244495c87d97bdec494de8ca226e14b7fbcc825814c000d532d43acb0bed5"
-MEMORY_LOGS_SHA256 = "56488c907df7c62c24e6151ff98107cb1b6868d2800d6846f09e41d4fe6ac83b"
+CLI_RUN_SHA256 = "32ea0c13df6e41dc69f814967abfdc9093728366a446173c6fb3709e2855e6b0"
+LLM_RUN_SHA256 = "77a6a1a40538c4b7a37aeb2b5203a0a4f9dfb1023469165d715839274e673a3b"
 
 
 def _digest(named_chunks) -> str:
@@ -52,8 +51,6 @@ def test_cli_run_bytes_are_pinned(tmp_path):
     assert main(["--config", str(config), "evolve", "--steps", "50"]) == 0
     files = sorted((run_dir / "population").iterdir()) + [run_dir / "steps.jsonl"]
     assert _digest((p.name, p.read_bytes()) for p in files) == CLI_RUN_SHA256
-    logs = [run_dir / "memory" / "llm_pool.log", run_dir / "memory" / "wf_pool.log"]
-    assert _digest((p.name, p.read_bytes()) for p in logs) == MEMORY_LOGS_SHA256
 
 
 def test_llm_route_run_is_pinned():

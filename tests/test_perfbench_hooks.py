@@ -38,9 +38,8 @@ def test_traced_pools_give_one_span_per_call_and_are_restored(monkeypatch):
     tracer = tracing.Tracer(SimulatedProvider)
     tracer.install()
     try:
-        LlmExperiencePool().append(LlmExperienceRecord("m", "wf", "q", "Positive", "c", "easy"))
-        WorkflowExperiencePool().append(
-            WorkflowExperienceRecord("wf", "q", "Positive", "c", 1.0, 0.1))
+        LlmExperiencePool().append(LlmExperienceRecord("m", "Positive", "easy"))
+        WorkflowExperiencePool().append(WorkflowExperienceRecord("wf", "Positive", "easy", "c"))
     finally:
         tracer.uninstall()
     names = [tracer.names[span[1]] for span in tracer.spans]
