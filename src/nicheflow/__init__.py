@@ -59,12 +59,7 @@ from .genome import (
     serialize,
     validate,
 )
-from .memory import (
-    LlmExperiencePool,
-    LlmExperienceRecord,
-    WorkflowExperiencePool,
-    WorkflowExperienceRecord,
-)
+from .memory import LlmExperiencePool, WorkflowExperiencePool
 from .provider import (
     ChatRequest,
     ChatResponse,

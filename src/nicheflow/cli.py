@@ -16,7 +16,9 @@ import numpy as np
 from . import canonical
 from .bench import export_front, generate_suite, interleave_tasks, population_hypervolume
 from .config import RunConfig, load_config
-from .errors import BudgetExceeded, ConfigError, NicheflowError, ProviderError, StorageError
+from .errors import (
+    BudgetExceeded, ConfigError, InvalidInput, NicheflowError, ProviderError, StorageError,
+)
 from .evolution import EvolveDeps, Population, evolve_step, infer, init_population
 from .executor import TaskQuery, evaluate
 from .memory import LlmExperiencePool, WorkflowExperiencePool, fold_report
@@ -105,17 +107,20 @@ def cmd_front(cfg: RunConfig) -> dict:
 def cmd_bench(cfg: RunConfig, suite_path) -> dict:
     suite_path = Path(suite_path)
     if suite_path.exists():
-        doc = json.loads(suite_path.read_text(encoding="utf-8"))
-        tasks = [
-            TaskQuery(
-                query_id=t["query_id"],
-                text=t["text"],
-                domain=t.get("domain", "general"),
-                gold=t.get("gold"),
-                metric=t.get("metric", "exact"),
-            )
-            for t in doc["tasks"]
-        ]
+        try:
+            doc = json.loads(suite_path.read_text(encoding="utf-8"))
+            tasks = [
+                TaskQuery(
+                    query_id=t["query_id"],
+                    text=t["text"],
+                    domain=t.get("domain", "general"),
+                    gold=t.get("gold"),
+                    metric=t.get("metric", "exact"),
+                )
+                for t in doc["tasks"]
+            ]
+        except (OSError, ValueError, KeyError, TypeError, AttributeError, InvalidInput) as e:
+            raise ConfigError(f"cannot read the task suite {suite_path}: {e!r}") from e
     else:
         suite = generate_suite(cfg.domains, cfg.tasks_per_domain, seed=cfg.seed)
         tasks = suite.tasks

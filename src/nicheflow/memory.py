@@ -1,4 +1,4 @@
-"""Experience pools: per-model and per-workflow verdict counts, with summary
+"""Experience pools: per-model and per-workflow outcome counts, with summary
 views that feed the mutation operators.
 
 The pools keep no record of their own: ``steps.jsonl`` is the only one.
@@ -6,42 +6,14 @@ The pools keep no record of their own: ``steps.jsonl`` is the only one.
 folds each report it builds, and ``evolve`` first folds the reports it
 resumes from, so a resumed run's pools are those of an uninterrupted run.
 
-Both pools are one class, ``_ExperiencePool``, keyed by a different record
-field (``model_id`` or ``workflow_id``), summarised per key and per (key,
-domain).
+Both pools are one class, ``_ExperiencePool``, keyed by a model id or a
+workflow id and summarised per key and per (key, domain). An append takes
+plain values: the key, whether the outcome was positive, the domain, and
+for a workflow the history line a prompt rewrite quotes.
 """
 
 from dataclasses import dataclass, field, replace
 from typing import Optional
-
-from .errors import InvalidInput
-
-VERDICTS = ("Positive", "Negative")
-
-
-@dataclass(frozen=True)
-class LlmExperienceRecord:
-    model_id: str
-    verdict: str  # Positive | Negative
-    domain: str
-
-    commentary = ""  # a model's outcomes are counted, never quoted
-
-    def __post_init__(self):
-        if self.verdict not in VERDICTS:
-            raise InvalidInput(f"bad verdict {self.verdict!r}")
-
-
-@dataclass(frozen=True)
-class WorkflowExperienceRecord:
-    workflow_id: str
-    verdict: str  # Positive | Negative
-    domain: str
-    commentary: str  # the history line a prompt rewrite quotes
-
-    def __post_init__(self):
-        if self.verdict not in VERDICTS:
-            raise InvalidInput(f"bad verdict {self.verdict!r}")
 
 
 @dataclass
@@ -56,29 +28,22 @@ class ExperienceSummary:
         return (self.positive_count + 1) / (self.positive_count + self.negative_count + 2)
 
 
-def verdict_from_perf(perf: float) -> str:
-    return "Positive" if perf >= 1.0 else "Negative"
-
-
 class _ExperiencePool:
-    """Verdict counts plus the last 10 commentaries per ``(key, None)`` and
-    ``(key, domain)``, where the key is the record field ``key_field``."""
-
-    key_field: str
+    """Outcome counts plus the last 10 commentaries per ``(key, None)`` and
+    ``(key, domain)``."""
 
     def __init__(self):
         self._summaries: dict[tuple, ExperienceSummary] = {}
 
-    def append(self, record: LlmExperienceRecord | WorkflowExperienceRecord) -> None:
-        key = getattr(record, self.key_field)
-        for summary_key in ((key, None), (key, record.domain)):
+    def append(self, key: str, positive: bool, domain: str, commentary: str = "") -> None:
+        for summary_key in ((key, None), (key, domain)):
             summary = self._summaries.setdefault(summary_key, ExperienceSummary())
-            if record.verdict == "Positive":
+            if positive:
                 summary.positive_count += 1
             else:
                 summary.negative_count += 1
-            if record.commentary:
-                summary.recent_commentaries.append(record.commentary)
+            if commentary:
+                summary.recent_commentaries.append(commentary)
                 del summary.recent_commentaries[:-10]
 
     def query_summary(self, key: str, domain: Optional[str] = None) -> ExperienceSummary:
@@ -94,13 +59,9 @@ class _ExperiencePool:
 class LlmExperiencePool(_ExperiencePool):
     """Per-model outcome pool."""
 
-    key_field = "model_id"
-
 
 class WorkflowExperiencePool(_ExperiencePool):
     """Per-workflow outcome pool."""
-
-    key_field = "workflow_id"
 
 
 def fold_report(
@@ -109,16 +70,17 @@ def fold_report(
     wf_pool: Optional[WorkflowExperiencePool],
 ) -> None:
     """Append one step report's outcomes: per evaluated member, in id order,
-    one workflow record and one record per model the member uses."""
+    one workflow outcome and one outcome per model the member uses. A perf
+    of 1.0 is positive, anything less negative."""
     domain = report["domain"]
     for workflow_id, evaluation in report["evaluations"].items():
-        verdict = verdict_from_perf(evaluation["perf"])
+        positive = evaluation["perf"] >= 1.0
         if wf_pool is not None:
             commentary = (
-                f"{verdict} on {domain} query {report['query_id']}: "
+                f"{'Positive' if positive else 'Negative'} on {domain} query {report['query_id']}: "
                 f"perf {evaluation['perf']:g}, cost {evaluation['cost']:.3g}"
             )
-            wf_pool.append(WorkflowExperienceRecord(workflow_id, verdict, domain, commentary))
+            wf_pool.append(workflow_id, positive, domain, commentary)
         if llm_pool is not None:
             for model_id in evaluation["models"]:
-                llm_pool.append(LlmExperienceRecord(model_id, verdict, domain))
+                llm_pool.append(model_id, positive, domain)

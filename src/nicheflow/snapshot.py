@@ -1,4 +1,5 @@
-"""Population snapshots and run-directory bookkeeping.
+"""Population snapshots and run-directory bookkeeping: the run lock, and the
+one reader and the one writer of the step log ``steps.jsonl``.
 
 A snapshot is a directory of one canonical genome document per member plus a
 manifest carrying the generation, seed, and config hash. A save writes a temp
@@ -11,7 +12,10 @@ and genomes are frozen, so a process that serves many queries re-parses only
 the members that changed.
 """
 
+import errno
+import fcntl
 import json
+import logging
 import os
 import shutil
 from pathlib import Path
@@ -20,6 +24,8 @@ from . import canonical
 from .errors import GenomeParseError, StorageError
 from .evolution import Population
 from .genome import WorkflowGenome, deserialize, serialize
+
+logger = logging.getLogger(__name__)
 
 # The members of the last snapshot that loaded, by the text of their files.
 _parsed: dict[str, WorkflowGenome] = {}
@@ -89,65 +95,105 @@ def _load_member(path: Path, parsed: dict[str, WorkflowGenome]) -> WorkflowGenom
 
 
 class RunLock:
-    """Exclusive advisory lock preventing concurrent writers of one run dir. The
-    lock holds its holder's pid; a lock whose holder is gone (killed) is cleared."""
+    """Exclusive lock preventing concurrent writers of one run dir: an
+    ``flock`` on the directory itself, which the kernel frees when its holder
+    exits or is killed, so no lock file is left behind."""
 
     def __init__(self, run_dir):
-        self.path = Path(run_dir) / ".lock"
+        self.path = Path(run_dir)
 
     def __enter__(self):
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        for attempt in range(2):
-            try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                break
-            except FileExistsError:
-                if attempt or not self._holder_is_gone():
-                    raise StorageError(f"run directory is locked: {self.path}") from None
-                self.path.unlink(missing_ok=True)
-        with os.fdopen(fd, "w") as fh:
-            fh.write(str(os.getpid()))
+        try:
+            self.path.mkdir(parents=True, exist_ok=True)
+            self._fd = os.open(self.path, os.O_RDONLY)
+        except OSError as e:
+            raise StorageError(f"cannot lock {self.path}: {e}") from e
+        try:
+            fcntl.flock(self._fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError as e:
+            os.close(self._fd)
+            if e.errno == errno.EWOULDBLOCK:
+                raise StorageError(f"run directory is locked: {self.path}") from None
+            raise StorageError(f"cannot lock {self.path}: {e}") from e
         return self
 
-    def _holder_is_gone(self) -> bool:
-        try:
-            os.kill(int(self.path.read_text(encoding="utf-8")), 0)  # POSIX: sends nothing
-        except (ProcessLookupError, FileNotFoundError):  # no such process, or lock released
-            return True
-        except (OSError, ValueError, OverflowError):  # unreadable, or no pid written yet
-            pass
-        return False
-
     def __exit__(self, *exc):
-        try:
-            self.path.unlink()
-        except OSError:
-            pass
+        os.close(self._fd)  # frees the lock
         return False
 
 
 def repair_step_log(run_dir, generation: int) -> list[dict]:
     """The reports of ``steps.jsonl`` up to ``generation``, the snapshot's.
 
-    A report torn by a crash mid-append is cut (``canonical.read_lines``), and
-    so is every report past ``generation``: after a crash between
+    A final line that does not parse was torn by a crash mid-append: it is
+    skipped with a warning and cut from the file. A whole final report whose
+    newline was lost gets its newline back. Either way the next append starts
+    a line of its own. A bad line anywhere else is a ``StorageError``.
+
+    Every report past ``generation`` is cut too: after a crash between
     checkpoints, ``evolve`` resumes from that snapshot and replays those
-    steps. The kept reports must cover generations 1 to ``generation``, each
-    with the fields that experience is folded from; a report without them
-    was written before the step log held them."""
+    steps. Each report must have the fields that experience is folded from,
+    and the kept ones must cover generations 1 to ``generation``."""
     path = Path(run_dir) / "steps.jsonl"
-    reports = list(canonical.read_lines(path, cut_from=lambda r: r["generation"] > generation))
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        data = b""
+    except OSError as e:
+        raise StorageError(f"cannot read {path}: {e}") from e
+    lines = data.split(b"\n")
+    last = len(lines) - 1 if lines[-1] else len(lines) - 2
+    cut = (len(data), b"\n") if lines[-1] else None  # (offset, new tail)
+    reports, offset = [], 0
+    for i, line in enumerate(lines):
+        if line.strip():
+            try:
+                report = json.loads(line)
+            except ValueError:
+                if i != last:
+                    raise StorageError(f"corrupt record at {path}:{i + 1}") from None
+                logger.warning("skipping truncated final record in %s", path)
+                cut = (offset, b"")
+                break
+            if not _foldable(report):
+                raise StorageError(f"{path}:{i + 1}: not a step report that experience can be"
+                                   " folded from (was it written by an older version?)")
+            if report["generation"] > generation:
+                cut = (offset, b"")
+                break
+            reports.append(report)
+        offset += len(line) + 1
+    if cut is not None:
+        try:
+            with path.open("r+b") as fh:
+                fh.seek(cut[0])
+                fh.write(cut[1])
+                fh.truncate()
+        except OSError as e:
+            raise StorageError(f"cannot repair the tail of {path}: {e}") from e
     if [r["generation"] for r in reports] != list(range(1, generation + 1)):
         raise StorageError(f"{path} does not hold one report per generation 1-{generation}")
-    for r in reports:
-        if "domain" not in r or any("models" not in e for e in r["evaluations"].values()):
-            raise StorageError(
-                f"{path}: the report of generation {r['generation']} has no domain or model ids;"
-                " it was written by an older version, so its experience cannot be folded"
-            )
     return reports
 
 
+def _foldable(report) -> bool:
+    return (
+        isinstance(report, dict)
+        and isinstance(report.get("generation"), int)
+        and {"query_id", "domain"} <= report.keys()
+        and isinstance(report.get("evaluations"), dict)
+        and all(
+            isinstance(e, dict) and {"perf", "cost", "models"} <= e.keys()
+            for e in report["evaluations"].values()
+        )
+    )
+
+
 def append_step_report(run_dir, report_doc: dict) -> None:
-    with canonical.open_log(Path(run_dir) / "steps.jsonl") as log:
-        canonical.write_line(log, report_doc)
+    path = Path(run_dir) / "steps.jsonl"
+    line = canonical.dumps(report_doc) + "\n"
+    try:
+        with path.open("a", encoding="utf-8") as log:
+            log.write(line)
+    except OSError as e:
+        raise StorageError(f"cannot append to {path}: {e}") from e

@@ -1,7 +1,9 @@
 import dataclasses
+import errno
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -429,14 +431,37 @@ def test_run_lock_excludes_second_writer(tmp_path):
         pass
 
 
-def test_run_lock_clears_a_lock_whose_holder_is_gone(tmp_path):
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()  # reaped: no process has its pid any more
-    lock = tmp_path / ".lock"
-    lock.write_text(str(child.pid))
+def test_run_lock_of_a_killed_holder_is_freed(tmp_path):
+    holder = (
+        "import sys, time\n"
+        "from nicheflow.snapshot import RunLock\n"
+        "with RunLock(sys.argv[1]):\n"
+        "    print('held', flush=True)\n"
+        "    time.sleep(60)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(snapshot.__file__).parents[1]))
+    child = subprocess.Popen([sys.executable, "-c", holder, str(tmp_path)],
+                             stdout=subprocess.PIPE, text=True, env=env)
+    try:
+        assert child.stdout.readline() == "held\n"
+        assert list(tmp_path.iterdir()) == []  # no lock file
+        with pytest.raises(StorageError, match="locked"):
+            RunLock(tmp_path).__enter__()
+    finally:
+        child.kill()  # SIGKILL: the holder never reaches its exit
+        child.wait()
+        child.stdout.close()
     with RunLock(tmp_path):
-        assert lock.read_text() == str(os.getpid())
-    assert not lock.exists()
+        pass
+
+
+def test_run_lock_that_cannot_be_taken_is_a_storage_error(tmp_path, monkeypatch):
+    def no_locks(fd, operation):
+        raise OSError(errno.ENOLCK, "No locks available")
+
+    monkeypatch.setattr(snapshot.fcntl, "flock", no_locks)
+    with pytest.raises(StorageError, match=re.escape(f"cannot lock {tmp_path}")):
+        RunLock(tmp_path).__enter__()
 
 
 # --- CLI commands -------------------------------------------------------------------------
@@ -508,11 +533,16 @@ def test_cli_init_and_evolve_write_only_the_snapshot_and_the_step_log(tmp_path):
     lambda reports: reports[1].pop("domain"),
     lambda reports: [e.pop("models") for e in reports[1]["evaluations"].values()],
     lambda reports: reports.pop(1),
-], ids=["no-domain", "no-models", "a-generation-missing"])
+    lambda reports: reports.__setitem__(1, []),
+    lambda reports: reports[1].pop("generation"),
+    lambda reports: [e.pop("perf") for e in reports[1]["evaluations"].values()],
+], ids=["no-domain", "no-models", "a-generation-missing", "not-a-report", "no-generation",
+        "no-perf"])
 def test_cli_evolve_refuses_a_step_log_it_cannot_fold(tmp_path, capsys, damage):
     """A report without ``domain`` or ``models`` comes from a run dir written
     by an older version, and a missing report leaves a step's experience
-    out: neither is folded as if it held none."""
+    out: neither is folded as if it held none. A line that is not a report,
+    or lacks ``generation`` or ``perf``, cannot be folded at all."""
     path, run_dir = _write_config(tmp_path)
     assert main(["--config", str(path), "init"]) == 0
     assert main(["--config", str(path), "evolve", "--steps", "3"]) == 0
@@ -670,6 +700,23 @@ def test_cli_bench_generates_suite_and_report(tmp_path, capsys):
     assert report2["tasks"] == 20
 
 
+@pytest.mark.parametrize("suite", [
+    "{not json",
+    "{}",
+    '{"tasks": [{"text": "Compute 2 + 2."}]}',
+    '{"tasks": [{"query_id": "q", "text": " "}]}',
+], ids=["invalid-json", "no-tasks", "a-task-without-query-id", "a-blank-task"])
+def test_cli_bench_refuses_a_malformed_suite(tmp_path, capsys, suite):
+    path, _ = _write_config(tmp_path)
+    assert main(["--config", str(path), "init"]) == 0
+    suite_path = tmp_path / "suite.json"
+    suite_path.write_text(suite)
+    capsys.readouterr()
+    assert main(["--config", str(path), "bench", "--suite", str(suite_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(suite_path) in err
+
+
 def test_cli_bench_scores_an_over_budget_member_zero(tmp_path, capsys):
     run_dir = tmp_path / "run"
     doc = _cli_config_doc(run_dir)
@@ -723,9 +770,8 @@ def test_cli_exit_code_for_an_evolver_model_outside_the_pool(tmp_path, capsys):
 
 def test_cli_exit_code_for_locked_run_dir(tmp_path, capsys):
     path, run_dir = _write_config(tmp_path)
-    run_dir.mkdir(parents=True)
-    (run_dir / ".lock").write_text("held")
-    assert main(["--config", str(path), "init"]) == 4
+    with RunLock(run_dir):
+        assert main(["--config", str(path), "init"]) == 4
     assert "storage error" in capsys.readouterr().err
 
 

@@ -37,7 +37,7 @@ from nicheflow.evolution import (
 )
 from nicheflow.executor import TaskQuery
 from nicheflow.genome import ModelPool, ModelSpec, RunStats, content_hash, serialize, validate
-from nicheflow.memory import LlmExperiencePool, LlmExperienceRecord
+from nicheflow.memory import LlmExperiencePool
 from nicheflow.provider import Evolver, make_task_envelope, parse_task_envelope
 from nicheflow.templates import DEFAULT_OPERATOR_REPO
 
@@ -305,8 +305,8 @@ def test_mutate_llm_always_swaps_at_rho_one(pool):
 def test_mutate_llm_prefers_historically_positive_models(pool):
     llm_pool = LlmExperiencePool()
     for _ in range(30):
-        for model, verdict in [("big", "Positive"), ("mid", "Negative"), ("small", "Negative")]:
-            llm_pool.append(LlmExperienceRecord(model, verdict, "easy"))
+        for model, positive in [("big", True), ("mid", False), ("small", False)]:
+            llm_pool.append(model, positive, "easy")
     g = build_genome(kinds=("CoT",), model="tiny")
     rng = np.random.default_rng(123)
     picks = {"big": 0, "mid": 0, "small": 0}

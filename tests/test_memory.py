@@ -5,26 +5,19 @@ import numpy as np
 import pytest
 
 from nicheflow import evolution
-from nicheflow.errors import InvalidInput, StorageError
+from nicheflow.errors import StorageError
 from nicheflow.evolution import EvolutionConfig, evolve_step
 from nicheflow.memory import (
     ExperienceSummary,
     LlmExperiencePool,
-    LlmExperienceRecord,
     WorkflowExperiencePool,
-    WorkflowExperienceRecord,
     fold_report,
-    verdict_from_perf,
 )
 from nicheflow.provider import SimulatedProvider
 from nicheflow.snapshot import append_step_report, repair_step_log
 from nicheflow.templates import PROMPT_MUTATION_PROMPT
 
 from conftest import SIM_PROFILES, RecordingProvider, library_setup
-
-
-def _llm_rec(model="m1", domain="easy", verdict="Positive"):
-    return LlmExperienceRecord(model_id=model, verdict=verdict, domain=domain)
 
 
 def _report(generation, perf=1.0, domain="easy", models=("m1",), wid="wf"):
@@ -52,24 +45,21 @@ def _counts(pool, key="m1", domain="easy"):
     return s.positive_count, s.negative_count
 
 
-def test_verdict_from_perf_threshold():
-    assert verdict_from_perf(1.0) == "Positive"
-    assert verdict_from_perf(0.99) == "Negative"
-
-
-def test_records_validate_verdict():
-    with pytest.raises(InvalidInput):
-        _llm_rec(verdict="Maybe")
-    with pytest.raises(InvalidInput):
-        _llm_rec(verdict="None")
-    with pytest.raises(InvalidInput):
-        WorkflowExperienceRecord("w", "None", "easy", "c")
+def test_fold_report_counts_perf_one_as_positive_and_less_as_negative():
+    llm_pool, wf_pool = LlmExperiencePool(), WorkflowExperiencePool()
+    fold_report(_report(1, 1.0, models=("m1", "m2")), llm_pool, wf_pool)
+    fold_report(_report(2, 0.99, models=("m1", "m2")), llm_pool, wf_pool)
+    assert _counts(llm_pool) == _counts(llm_pool, "m2") == _counts(wf_pool, "wf") == (1, 1)
+    assert wf_pool.query_summary("wf").recent_commentaries == [
+        "Positive on easy query easy-0001: perf 1, cost 0.5",
+        "Negative on easy query easy-0002: perf 0.99, cost 0.5",
+    ]
 
 
 def test_llm_pool_counts_and_positive_rate():
     pool = LlmExperiencePool()
-    for v in ["Positive", "Positive", "Positive", "Negative"]:
-        pool.append(_llm_rec(verdict=v))
+    for positive in [True, True, True, False]:
+        pool.append("m1", positive, "easy")
     s = pool.query_summary("m1", "easy")
     assert (s.positive_count, s.negative_count) == (3, 1)
     assert s.positive_rate == pytest.approx((3 + 1) / (3 + 1 + 2))
@@ -84,8 +74,8 @@ def test_unseen_key_is_all_zeros():
 
 def test_domain_filter_and_all_domains():
     pool = LlmExperiencePool()
-    pool.append(_llm_rec(domain="easy", verdict="Positive"))
-    pool.append(_llm_rec(domain="hard", verdict="Negative"))
+    pool.append("m1", True, "easy")
+    pool.append("m1", False, "hard")
     assert pool.query_summary("m1", "easy").positive_count == 1
     assert pool.query_summary("m1", "hard").negative_count == 1
     overall = pool.query_summary("m1")  # no domain = all domains
@@ -99,9 +89,9 @@ def test_summary_matches_brute_force_on_random_log():
     for _ in range(500):
         model = f"m{int(rng.integers(4))}"
         domain = ["easy", "hard"][int(rng.integers(2))]
-        verdict = ["Positive", "Negative"][int(rng.integers(2))]
-        pool.append(_llm_rec(model=model, domain=domain, verdict=verdict))
-        log.append((model, domain, verdict))
+        positive = bool(rng.integers(2))
+        pool.append(model, positive, domain)
+        log.append((model, domain, positive))
     for model in [f"m{i}" for i in range(4)]:
         for domain in ["easy", "hard", None]:
             rows = [
@@ -109,14 +99,14 @@ def test_summary_matches_brute_force_on_random_log():
                 if m == model and (domain is None or d == domain)
             ]
             s = pool.query_summary(model, domain)
-            assert s.positive_count == rows.count("Positive")
-            assert s.negative_count == rows.count("Negative")
+            assert s.positive_count == rows.count(True)
+            assert s.negative_count == rows.count(False)
 
 
 def test_recent_commentaries_keep_last_ten():
     pool = WorkflowExperiencePool()
     for i in range(25):
-        pool.append(WorkflowExperienceRecord("wf", "Positive", "easy", f"note {i}"))
+        pool.append("wf", True, "easy", f"note {i}")
     s = pool.query_summary("wf")
     assert s.recent_commentaries == [f"note {i}" for i in range(15, 25)]
 
@@ -181,9 +171,17 @@ def test_mid_file_corruption_is_an_error(tmp_path):
         _fold_log(tmp_path, 2)
 
 
+def test_a_step_log_that_cannot_be_read_or_appended_to_is_a_storage_error(tmp_path):
+    (tmp_path / "steps.jsonl").mkdir()
+    with pytest.raises(StorageError, match="cannot read .*steps.jsonl"):
+        repair_step_log(tmp_path, 0)
+    with pytest.raises(StorageError, match="cannot append to .*steps.jsonl"):
+        append_step_report(tmp_path, _report(1))
+
+
 def test_workflow_pool_summary_fields():
     pool = WorkflowExperiencePool()
-    pool.append(WorkflowExperienceRecord("wf", "Positive", "easy", "solid run"))
+    pool.append("wf", True, "easy", "solid run")
     s = pool.query_summary("wf", "easy")
     assert s.positive_count == 1
     assert s.recent_commentaries == ["solid run"]

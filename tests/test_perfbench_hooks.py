@@ -7,12 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from nicheflow import evolution
-from nicheflow.memory import (
-    LlmExperiencePool,
-    LlmExperienceRecord,
-    WorkflowExperiencePool,
-    WorkflowExperienceRecord,
-)
+from nicheflow.memory import LlmExperiencePool, WorkflowExperiencePool
 from nicheflow.provider import SimulatedProvider
 
 from conftest import SIM_PROFILES, InFlightProvider, library_setup
@@ -38,8 +33,8 @@ def test_traced_pools_give_one_span_per_call_and_are_restored(monkeypatch):
     tracer = tracing.Tracer(SimulatedProvider)
     tracer.install()
     try:
-        LlmExperiencePool().append(LlmExperienceRecord("m", "Positive", "easy"))
-        WorkflowExperiencePool().append(WorkflowExperienceRecord("wf", "Positive", "easy", "c"))
+        LlmExperiencePool().append("m", True, "easy")
+        WorkflowExperiencePool().append("wf", True, "easy", "c")
     finally:
         tracer.uninstall()
     names = [tracer.names[span[1]] for span in tracer.spans]
