@@ -7,7 +7,7 @@ selection, the per-query evolution step, and inference-time retrieval.
 import json
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -361,6 +361,8 @@ def _edit_nodes(genome: WorkflowGenome, rng: np.random.Generator, rho: float, ed
             op,
             invoking_nodes=tuple(new_nodes.get(n.node_id, n) for n in op.invoking_nodes),
         )
+        if any(n.node_id in new_nodes for n in op.invoking_nodes)
+        else op
         for op in genome.operators
     )
     return replace(genome, operators=ops)
@@ -381,6 +383,11 @@ def mutate_llm(
     model_ids = pool.model_ids
     if len(model_ids) < 2:
         return genome
+    # a model's draw weight: its positive rate, or 1 with no experience pool
+    weights_of = {
+        m: 1.0 if llm_pool is None else llm_pool.query_summary(m, domain).positive_rate
+        for m in model_ids
+    }
 
     def swap(node: InvokingNode) -> Optional[InvokingNode]:
         replacement = None
@@ -388,12 +395,7 @@ def mutate_llm(
             replacement = _llm_pick_model(node, llm_pool, pool, domain, evolver)
         if replacement is None:
             candidates = [m for m in model_ids if m != node.model_id]
-            if llm_pool is not None:
-                weights = np.array(
-                    [llm_pool.query_summary(m, domain).positive_rate for m in candidates]
-                )
-            else:
-                weights = np.ones(len(candidates))
+            weights = np.array([weights_of[m] for m in candidates])
             weights = weights / weights.sum()
             replacement = candidates[int(rng.choice(len(candidates), p=weights))]
         if replacement != node.model_id and replacement in pool:
@@ -677,6 +679,10 @@ class EvolveDeps:
     repo: Sequence[str] = DEFAULT_OPERATOR_REPO
     llm_pool: Optional[LlmExperiencePool] = None
     wf_pool: Optional[WorkflowExperiencePool] = None
+    # (workflow id, query text) -> trace, filled for a SimulatedProvider
+    # only; ``evolve_step`` keeps the entries of the live population alone.
+    # The provider, pool and call budget must stay those of the run.
+    _traces: dict = field(default_factory=dict, init=False, repr=False)
 
 
 @dataclass
@@ -694,7 +700,8 @@ class StepReport:
     evaluations: dict[str, dict]
 
     def to_doc(self) -> dict:
-        return asdict(self)
+        """The report's fields; the evaluations are the report's own, not copies."""
+        return dict(vars(self))
 
 
 def evolve_step(
@@ -706,9 +713,11 @@ def evolve_step(
     """One full evolution iteration on a single query: retrieve parents,
     breed and mutate an offspring, build the niching pool, execute and update
     stats, then environmentally select. The niche members execute on one
-    thread each unless the provider is a ``SimulatedProvider``. The step's
-    report is folded into the experience pools last, so a step that raises
-    leaves them as they were."""
+    thread each unless the provider is a ``SimulatedProvider``. That backend
+    is pure, so a member that already ran the query in this run replays its
+    trace from ``deps``, which keeps only the new population's traces. The
+    step's report is folded into the experience pools last, so a step that
+    raises leaves them as they were."""
     cfg = deps.cfg
     cfg.check()
     evolver = make_evolver(cfg, deps.provider, deps.pool)
@@ -738,28 +747,36 @@ def evolve_step(
 
     niche = niching_area(pop, offspring, cfg.niche_size, deps.embedder, parents=parents)
 
+    # The simulated backend never waits and holds the GIL for each call, so
+    # threads would only add switching, and it answers a request the same
+    # every time, so a rerun would only repeat the same calls.
+    pure = isinstance(deps.provider, SimulatedProvider)
+    traces = deps._traces if pure else None
+
     def run(genome: WorkflowGenome) -> tuple[float, float]:
         try:
-            trace = execute(genome, query, deps.provider, deps.pool, call_budget=cfg.call_budget)
+            trace = execute(genome, query, deps.provider, deps.pool,
+                            call_budget=cfg.call_budget, traces=traces)
             return evaluate(trace.answer, query), trace.total_cost
         except BudgetExceeded as e:
             # over-budget genomes score zero but still pay for their calls
             return 0.0, e.partial_cost
 
     # Results are consumed in id order on this thread, so stats and the
-    # report keep the serial order whichever mapper runs them.
+    # report keep the serial order whichever way the members ran.
     members = sorted(niche.exec_members, key=lambda g: g.workflow_id)
+    if pure:
+        results = [run(g) for g in members]
+    else:
+        with ThreadPoolExecutor(max_workers=len(members)) as workers:
+            results = list(workers.map(run, members))
     evaluations: dict[str, dict] = {}
     updated: dict[str, WorkflowGenome] = {}
-    with ThreadPoolExecutor(max_workers=len(members)) as workers:
-        # The simulated backend never waits and holds the GIL for each call,
-        # so threads would only add switching: it runs members in sequence.
-        mapper = map if isinstance(deps.provider, SimulatedProvider) else workers.map
-        for genome, (perf, cost) in zip(members, mapper(run, members)):
-            new_genome = update_stats(genome, cost, perf)
-            updated[new_genome.workflow_id] = new_genome
-            models = sorted({n.model_id for op in genome.operators for n in op.invoking_nodes})
-            evaluations[new_genome.workflow_id] = {"perf": perf, "cost": cost, "models": models}
+    for genome, (perf, cost) in zip(members, results):
+        new_genome = update_stats(genome, cost, perf)
+        updated[new_genome.workflow_id] = new_genome
+        models = sorted({n.model_id for op in genome.operators for n in op.invoking_nodes})
+        evaluations[new_genome.workflow_id] = {"perf": perf, "cost": cost, "models": models}
 
     for wid, genome in updated.items():
         if wid in pop.ids:
@@ -773,6 +790,10 @@ def evolve_step(
 
     new_pop, eliminated = environmental_selection(pop, niche, cfg.phi)
     new_pop.generation = pop.generation + 1
+    if pure:
+        live = new_pop.ids
+        for key in [k for k in traces if k[0] not in live]:
+            del traces[key]
     report = StepReport(
         generation=new_pop.generation,
         query_id=query.query_id,

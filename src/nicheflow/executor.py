@@ -70,10 +70,26 @@ def execute(
     provider,
     pool: ModelPool,
     call_budget: int = DEFAULT_CALL_BUDGET,
+    *,
+    traces: Optional[dict] = None,
 ) -> ExecutionTrace:
     """Run every operator once in a topological order, threading each
     operator's output to its inter-edge successors; the single sink's output
-    is the answer. An over-budget run's ``BudgetExceeded`` names the genome."""
+    is the answer. An over-budget run's ``BudgetExceeded`` names the genome.
+
+    ``traces`` is a memo keyed by (workflow id, query text): a run kept there
+    is replayed without a model call, and a new run is kept. It is sound only
+    when the provider is a pure function of the request, the pool and call
+    budget stay fixed, and each workflow id names one structure. An
+    over-budget run is kept as its message and partial cost, not as the
+    exception, whose traceback would pin the run's frames."""
+    key = (genome.workflow_id, query.text)
+    if traces is not None and key in traces:
+        kept = traces[key]
+        if isinstance(kept, ExecutionTrace):
+            return kept
+        message, partial_cost = kept
+        raise BudgetExceeded(message, partial_cost=partial_cost)
     caller = _Caller(provider, pool, call_budget)
     owner = f"genome {genome.workflow_id!r}"
     try:
@@ -82,8 +98,14 @@ def execute(
             lambda oid, context: run_operator(genome.operator(oid), query.text, context, caller),
         )
     except BudgetExceeded as e:
-        raise BudgetExceeded(f"{owner}: {e}", partial_cost=e.partial_cost) from None
-    return ExecutionTrace(answer, caller.total_cost, caller.count)
+        message = f"{owner}: {e}"
+        if traces is not None:
+            traces[key] = (message, e.partial_cost)
+        raise BudgetExceeded(message, partial_cost=e.partial_cost) from None
+    trace = ExecutionTrace(answer, caller.total_cost, caller.count)
+    if traces is not None:
+        traces[key] = trace
+    return trace
 
 
 # --- answer scoring ----------------------------------------------------------

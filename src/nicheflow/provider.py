@@ -12,6 +12,7 @@ import logging
 import re
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from typing import Callable, Mapping, Optional, Protocol, Sequence, TypeVar
 
 from . import canonical
@@ -20,6 +21,10 @@ from .genome import ModelSpec
 
 logger = logging.getLogger(__name__)
 T = TypeVar("T")
+
+
+# The keys of a message whose digest text ``ChatRequest`` writes directly.
+_MESSAGE_KEYS = {"content", "role"}
 
 
 @dataclass(frozen=True)
@@ -38,14 +43,37 @@ class ChatRequest:
                 raise InvalidInput(f"bad message role {m.get('role')!r}")
 
     def digest(self) -> str:
-        body = canonical.dumps(
-            {
-                "model": self.model_id,
-                "messages": [dict(m) for m in self.messages],
-                "temperature": self.temperature,
-            }
-        )
+        """blake2b of the request's ``canonical.dumps`` text. Plain requests,
+        ``{role, content}`` string messages and a ``float`` temperature, have
+        that text written here directly, the same bytes without ``json.dumps``
+        and its key sort; any other request goes through ``canonical.dumps``."""
+        body = self._plain_body()
+        if body is None:
+            body = canonical.dumps(
+                {
+                    "model": self.model_id,
+                    "messages": [dict(m) for m in self.messages],
+                    "temperature": self.temperature,
+                }
+            )
         return hashlib.blake2b(body.encode("utf-8"), digest_size=16).hexdigest()
+
+    def _plain_body(self) -> Optional[str]:
+        if type(self.temperature) is not float or not isinstance(self.model_id, str):
+            return None
+        messages = []
+        for m in self.messages:
+            if m.keys() != _MESSAGE_KEYS or not isinstance(m["content"], str):
+                return None
+            content, role = encode_basestring(m["content"]), encode_basestring(m["role"])
+            messages.append(f'{{"content":{content},"role":{role}}}')
+        # Keys in sorted order. ``encode_basestring`` is the string encoder
+        # ``json.dumps`` uses under ``ensure_ascii=False``, and ``json.dumps``
+        # writes a finite float, as a checked temperature is, as its repr.
+        return (
+            f'{{"messages":[{",".join(messages)}],"model":{encode_basestring(self.model_id)},'
+            f'"temperature":{self.temperature!r}}}'
+        )
 
 
 @dataclass(frozen=True)
@@ -165,7 +193,10 @@ class SimulatedProvider:
         profile = self.profiles.get(req.model_id)
         if profile is None:
             raise UnknownModel(f"simulated pool has no model {req.model_id!r}")
-        text = "\n".join(m.get("content", "") for m in req.messages)
+        if len(req.messages) == 1:
+            text = req.messages[0].get("content", "")
+        else:
+            text = "\n".join(m.get("content", "") for m in req.messages)
         envelope = parse_task_envelope(text)
         if envelope is None:
             content = "Understood. Proceeding with the given instructions."

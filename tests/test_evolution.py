@@ -325,6 +325,15 @@ def test_mutate_llm_only_touches_model_ids(pool):
     assert validate(out.with_tags([f"t{i}" for i in range(5)]), pool) == []
 
 
+def test_mutate_llm_keeps_each_operator_none_of_whose_nodes_changed(pool):
+    g = build_genome(kinds=("CoT",) * 6)
+    out = mutate_llm(g, None, pool, np.random.default_rng(4), rho=0.5)
+    kept = [b is a for a, b in zip(g.operators, out.operators)]
+    assert any(kept) and not all(kept)
+    for a, b, same in zip(g.operators, out.operators, kept):
+        assert same == (a.invoking_nodes == b.invoking_nodes)
+
+
 def test_mutate_llm_takes_the_evolvers_pick(pool):
     g = build_genome(kinds=("Debate", "Ensemble", "CoT"), model="tiny")
     provider = ScriptedProvider(["I would use mid"])

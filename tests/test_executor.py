@@ -350,6 +350,32 @@ def test_execute_respects_call_budget(pool):
     assert len(provider.requests) == 10
 
 
+def test_a_memoised_run_replays_the_fresh_trace(pool, sim_provider):
+    g = build_genome(kinds=("Debate", "CoT"), model="mid")
+    query = TaskQuery("q", "solve " + make_task_envelope("q", "easy", "5"),
+                      domain="easy", gold="5", metric="numeric")
+    traces = {}
+    first = execute(g, query, sim_provider, pool, traces=traces)
+    unreachable = ScriptedProvider([], fail_after=0)  # any model call raises
+    replay = execute(g, query, unreachable, pool, traces=traces)
+    assert replay == first == execute(g, query, sim_provider, pool)
+    assert list(traces) == [(g.workflow_id, query.text)]
+
+
+def test_a_memoised_over_budget_run_replays_its_message_and_partial_cost(pool):
+    g = build_genome(kinds=("Debate", "Debate"))
+    traces = {}
+    with pytest.raises(BudgetExceeded) as first:
+        execute(g, QUERY, ScriptedProvider(["p"] * 50), pool, call_budget=10, traces=traces)
+    unreachable = ScriptedProvider([], fail_after=0)
+    with pytest.raises(BudgetExceeded) as replay:
+        execute(g, QUERY, unreachable, pool, call_budget=10, traces=traces)
+    assert str(replay.value) == str(first.value)
+    assert replay.value.partial_cost == first.value.partial_cost > 0.0
+    # kept as plain values: an exception's traceback would pin the run's frames
+    assert traces == {(g.workflow_id, QUERY.text): (str(first.value), first.value.partial_cost)}
+
+
 def test_execute_rejects_cyclic_genome(pool):
     g = build_genome(kinds=("CoT", "CoT"))
     a, b = g.op_ids

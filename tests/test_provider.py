@@ -1,7 +1,10 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nicheflow import canonical
 from nicheflow.errors import InvalidInput, ProviderError, UnknownModel
 from nicheflow.genome import ModelSpec
 from nicheflow.provider import (
@@ -46,6 +49,48 @@ def test_request_digest_is_stable_and_content_sensitive():
     assert _req("a").digest() != _req("b").digest()
     assert _req("a", model="big").digest() != _req("a").digest()
     assert _req("a", temperature=0.5).digest() != _req("a").digest()
+
+
+def _canonical_digest(req):
+    """The request digest as ``canonical.dumps`` writes the request: the
+    reference the directly built text must match byte for byte."""
+    body = canonical.dumps({
+        "model": req.model_id,
+        "messages": [dict(m) for m in req.messages],
+        "temperature": req.temperature,
+    })
+    return hashlib.blake2b(body.encode("utf-8"), digest_size=16).hexdigest()
+
+
+# Non-ASCII, quotes, backslashes and control characters, which JSON escapes;
+# lone surrogates are left out, as no request with one can be encoded.
+_TEXT = st.text(st.one_of(
+    st.characters(blacklist_categories=("Cs",)),
+    st.sampled_from('"\\\n\t\x00\x1f\x7f\u2028é漢😀'),
+))
+_MESSAGE = st.fixed_dictionaries({
+    "role": st.sampled_from(["system", "user", "assistant"]), "content": _TEXT,
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model=_TEXT,
+    messages=st.lists(_MESSAGE, min_size=1, max_size=4),
+    temperature=st.one_of(
+        st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 1.0, 0.1, 1e-300]),
+        st.integers(0, 1), st.booleans(),
+    ),
+    extra=st.one_of(st.none(), st.dictionaries(_TEXT, _TEXT, min_size=1, max_size=2)),
+)
+def test_request_digest_matches_the_canonical_dumps_digest(model, messages, temperature, extra):
+    """Plain requests take the direct text; extra message keys and an int
+    or bool temperature fall back to ``canonical.dumps``: either way the
+    digest is that of the canonical text."""
+    if extra is not None:
+        messages = messages[:-1] + [{**extra, **messages[-1]}]
+    req = ChatRequest(model_id=model, messages=tuple(messages), temperature=temperature)
+    assert req.digest() == _canonical_digest(req)
 
 
 def test_call_cost_per_million_tokens():
