@@ -23,7 +23,7 @@ logger = logging.getLogger(__name__)
 T = TypeVar("T")
 
 
-# The keys of a message whose digest text ``ChatRequest`` writes directly.
+# The keys every chat message has, and no others.
 _MESSAGE_KEYS = {"content", "role"}
 
 
@@ -34,46 +34,40 @@ class ChatRequest:
     temperature: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.model_id, str):
+            raise InvalidInput(f"model id must be a string, got {self.model_id!r}")
         if not self.messages:
             raise InvalidInput("chat request needs at least one message")
+        if type(self.temperature) is not float:
+            if isinstance(self.temperature, bool) or not isinstance(self.temperature, int):
+                raise InvalidInput(f"temperature must be a number, got {self.temperature!r}")
+            object.__setattr__(self, "temperature", float(self.temperature))
         if not (0.0 <= self.temperature <= 1.0):
             raise InvalidInput(f"temperature {self.temperature} out of [0,1]")
         for m in self.messages:
-            if m.get("role") not in ("system", "user", "assistant"):
-                raise InvalidInput(f"bad message role {m.get('role')!r}")
+            if m.keys() != _MESSAGE_KEYS:
+                raise InvalidInput(f"a message has exactly the keys role and content, got {sorted(m)}")
+            if m["role"] not in ("system", "user", "assistant"):
+                raise InvalidInput(f"bad message role {m['role']!r}")
+            if not isinstance(m["content"], str):
+                raise InvalidInput(f"message content must be a string, got {m['content']!r}")
 
     def digest(self) -> str:
-        """blake2b of the request's ``canonical.dumps`` text. Plain requests,
-        ``{role, content}`` string messages and a ``float`` temperature, have
-        that text written here directly, the same bytes without ``json.dumps``
-        and its key sort; any other request goes through ``canonical.dumps``."""
-        body = self._plain_body()
-        if body is None:
-            body = canonical.dumps(
-                {
-                    "model": self.model_id,
-                    "messages": [dict(m) for m in self.messages],
-                    "temperature": self.temperature,
-                }
-            )
-        return hashlib.blake2b(body.encode("utf-8"), digest_size=16).hexdigest()
-
-    def _plain_body(self) -> Optional[str]:
-        if type(self.temperature) is not float or not isinstance(self.model_id, str):
-            return None
-        messages = []
-        for m in self.messages:
-            if m.keys() != _MESSAGE_KEYS or not isinstance(m["content"], str):
-                return None
-            content, role = encode_basestring(m["content"]), encode_basestring(m["role"])
-            messages.append(f'{{"content":{content},"role":{role}}}')
+        """blake2b of the request's canonical JSON text, the bytes
+        ``canonical.dumps`` writes for ``{model, messages, temperature}``,
+        built here directly without ``json.dumps`` and its key sort."""
         # Keys in sorted order. ``encode_basestring`` is the string encoder
         # ``json.dumps`` uses under ``ensure_ascii=False``, and ``json.dumps``
         # writes a finite float, as a checked temperature is, as its repr.
-        return (
-            f'{{"messages":[{",".join(messages)}],"model":{encode_basestring(self.model_id)},'
+        messages = ",".join(
+            f'{{"content":{encode_basestring(m["content"])},"role":{encode_basestring(m["role"])}}}'
+            for m in self.messages
+        )
+        body = (
+            f'{{"messages":[{messages}],"model":{encode_basestring(self.model_id)},'
             f'"temperature":{self.temperature!r}}}'
         )
+        return hashlib.blake2b(body.encode("utf-8"), digest_size=16).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -193,10 +187,7 @@ class SimulatedProvider:
         profile = self.profiles.get(req.model_id)
         if profile is None:
             raise UnknownModel(f"simulated pool has no model {req.model_id!r}")
-        if len(req.messages) == 1:
-            text = req.messages[0].get("content", "")
-        else:
-            text = "\n".join(m.get("content", "") for m in req.messages)
+        text = "\n".join(m.get("content", "") for m in req.messages)
         envelope = parse_task_envelope(text)
         if envelope is None:
             content = "Understood. Proceeding with the given instructions."

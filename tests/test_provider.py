@@ -78,19 +78,32 @@ _MESSAGE = st.fixed_dictionaries({
     model=_TEXT,
     messages=st.lists(_MESSAGE, min_size=1, max_size=4),
     temperature=st.one_of(
-        st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 1.0, 0.1, 1e-300]),
-        st.integers(0, 1), st.booleans(),
+        st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 1.0, 0.1, 1e-300]), st.integers(0, 1),
     ),
-    extra=st.one_of(st.none(), st.dictionaries(_TEXT, _TEXT, min_size=1, max_size=2)),
 )
-def test_request_digest_matches_the_canonical_dumps_digest(model, messages, temperature, extra):
-    """Plain requests take the direct text; extra message keys and an int
-    or bool temperature fall back to ``canonical.dumps``: either way the
-    digest is that of the canonical text."""
-    if extra is not None:
-        messages = messages[:-1] + [{**extra, **messages[-1]}]
+def test_request_digest_matches_the_canonical_dumps_digest(model, messages, temperature):
     req = ChatRequest(model_id=model, messages=tuple(messages), temperature=temperature)
     assert req.digest() == _canonical_digest(req)
+
+
+def test_chat_request_settles_its_shape():
+    """An int temperature is stored as a float; any message other than
+    ``{role, content}`` with string content, and a bool temperature, are
+    rejected, so ``digest`` sees one shape of request."""
+    assert type(_req("x", temperature=1).temperature) is float
+    assert _req("x", temperature=1).digest() == _req("x", temperature=1.0).digest()
+    for bad in (
+        {"role": "user", "content": "x", "name": "n"},
+        {"role": "user"},
+        {"role": "user", "content": 3},
+    ):
+        with pytest.raises(InvalidInput):
+            ChatRequest(model_id="m", messages=(bad,))
+    for bad in (True, "0.5", None):
+        with pytest.raises(InvalidInput):
+            _req("x", temperature=bad)
+    with pytest.raises(InvalidInput):
+        _req("x", model=7)
 
 
 def test_call_cost_per_million_tokens():
