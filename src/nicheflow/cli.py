@@ -21,6 +21,7 @@ from .errors import (
 )
 from .evolution import EvolveDeps, Population, evolve_step, infer, init_population
 from .executor import TaskQuery, evaluate
+from .genome import validate
 from .memory import LlmExperiencePool, WorkflowExperiencePool, fold_report
 from .snapshot import RunLock, append_step_report, load_population, repair_step_log, save_population
 from .templates import DEFAULT_OPERATOR_REPO
@@ -58,9 +59,14 @@ def cmd_evolve(cfg: RunConfig, steps: int) -> Population:
             raise ConfigError(
                 f"snapshot was created with config {saved_hash}, current is {cfg.config_hash}"
             )
+        pool = cfg.model_pool()
+        for member in pop.members:  # a hand-edited member must not reach breeding
+            violations = validate(member, pool, kappa=cfg.evolution.kappa)
+            if violations:
+                raise StorageError(f"invalid snapshot member {member.workflow_id!r}: {violations}")
         deps = EvolveDeps(
             cfg=cfg.evolution,
-            pool=cfg.model_pool(),
+            pool=pool,
             provider=cfg.make_provider(),
             embedder=cfg.make_embedder(),
             llm_pool=LlmExperiencePool(),
@@ -186,8 +192,7 @@ def _parser() -> argparse.ArgumentParser:
     p_infer = sub.add_parser("infer", help="answer a query with the best-matching workflow")
     p_infer.add_argument("--query", required=True)
     p_infer.add_argument("--budget", type=float, default=None)
-    p_front = sub.add_parser("front", help="export the Pareto front table and hypervolume")
-    del p_front
+    sub.add_parser("front", help="export the Pareto front table and hypervolume")
     p_bench = sub.add_parser("bench", help="evaluate the population on a task suite")
     p_bench.add_argument("--suite", required=True)
     return parser

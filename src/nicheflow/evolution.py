@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import embedding as emb
-from .errors import BudgetExceeded, ConfigError
+from .errors import BudgetExceeded, ConfigError, InvalidState
 from .executor import DEFAULT_CALL_BUDGET, TaskQuery, evaluate, execute
 from .genome import (
     InvokingNode,
@@ -101,13 +101,6 @@ class Population:
     @property
     def ids(self) -> set[str]:
         return {m.workflow_id for m in self.members}
-
-    def replace_member(self, genome: WorkflowGenome) -> None:
-        for i, m in enumerate(self.members):
-            if m.workflow_id == genome.workflow_id:
-                self.members[i] = genome
-                return
-        raise KeyError(genome.workflow_id)
 
 
 @dataclass(frozen=True)
@@ -712,7 +705,8 @@ def evolve_step(
 ) -> tuple[Population, StepReport]:
     """One full evolution iteration on a single query: retrieve parents,
     breed and mutate an offspring, build the niching pool, execute and update
-    stats, then environmentally select. The niche members execute on one
+    stats, then environmentally select. It returns a new population and
+    leaves ``pop`` as it was. The niche members execute on one
     thread each unless the provider is a ``SimulatedProvider``. That backend
     is pure, so a member that already ran the query in this run replays its
     trace from ``deps``, which keeps only the new population's traces. The
@@ -737,13 +731,9 @@ def evolve_step(
     tags = emb.generate_tags(offspring, evolver, deps.pool, kappa=cfg.kappa)
     offspring = offspring.with_tags(tags)
     offspring = replace(offspring, workflow_id=fresh_workflow_id(offspring, pop.ids))
-    if validate(offspring, deps.pool, kappa=cfg.kappa):
-        # pathological offspring: fall back to a renumbered clone of parent 1
-        ops = renumber_operators(parents[0].operators)
-        offspring = _assemble(
-            ops, chain_edges(ops), parents[0].tags,
-            {"parents": [parents[0].workflow_id], "mode": "clone"}, pop.ids,
-        )
+    violations = validate(offspring, deps.pool, kappa=cfg.kappa)
+    if violations:  # every route keeps valid parents valid
+        raise InvalidState(f"offspring {offspring.workflow_id!r} is invalid: {violations}")
 
     niche = niching_area(pop, offspring, cfg.niche_size, deps.embedder, parents=parents)
 
@@ -778,9 +768,9 @@ def evolve_step(
         models = sorted({n.model_id for op in genome.operators for n in op.invoking_nodes})
         evaluations[new_genome.workflow_id] = {"perf": perf, "cost": cost, "models": models}
 
-    for wid, genome in updated.items():
-        if wid in pop.ids:
-            pop.replace_member(genome)
+    stepped = Population(
+        [updated.get(m.workflow_id, m) for m in pop.members], pop.generation + 1, pop.seed
+    )
     offspring = updated[offspring.workflow_id]
     niche = NichingPool(
         offspring=offspring,
@@ -788,8 +778,7 @@ def evolve_step(
         area=tuple(updated[a.workflow_id] for a in niche.area),
     )
 
-    new_pop, eliminated = environmental_selection(pop, niche, cfg.phi)
-    new_pop.generation = pop.generation + 1
+    new_pop, eliminated = environmental_selection(stepped, niche, cfg.phi)
     if pure:
         live = new_pop.ids
         for key in [k for k in traces if k[0] not in live]:

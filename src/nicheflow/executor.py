@@ -31,7 +31,10 @@ class TaskQuery:
 
 @dataclass(frozen=True)
 class ExecutionTrace:
-    answer: str
+    """One run's outcome; ``answer`` is None when the run went over its call
+    budget, and the cost and count are then those spent before it stopped."""
+
+    answer: Optional[str]
     total_cost: float
     call_count: int
 
@@ -81,30 +84,27 @@ def execute(
     is replayed without a model call, and a new run is kept. It is sound only
     when the provider is a pure function of the request, the pool and call
     budget stay fixed, and each workflow id names one structure. An
-    over-budget run is kept as its message and partial cost, not as the
-    exception, whose traceback would pin the run's frames."""
+    over-budget run is kept as a trace with no answer, not as the exception,
+    whose traceback would pin the run's frames."""
     key = (genome.workflow_id, query.text)
-    if traces is not None and key in traces:
-        kept = traces[key]
-        if isinstance(kept, ExecutionTrace):
-            return kept
-        message, partial_cost = kept
-        raise BudgetExceeded(message, partial_cost=partial_cost)
-    caller = _Caller(provider, pool, call_budget)
-    owner = f"genome {genome.workflow_id!r}"
-    try:
-        answer = run_dag(
-            genome.op_ids, genome.inter_edges, owner,
-            lambda oid, context: run_operator(genome.operator(oid), query.text, context, caller),
-        )
-    except BudgetExceeded as e:
-        message = f"{owner}: {e}"
+    trace = traces.get(key) if traces is not None else None
+    if trace is None:
+        caller = _Caller(provider, pool, call_budget)
+        try:
+            answer = run_dag(
+                genome.op_ids, genome.inter_edges, f"genome {genome.workflow_id!r}",
+                lambda oid, context: run_operator(genome.operator(oid), query.text, context, caller),
+            )
+        except BudgetExceeded:
+            answer = None
+        trace = ExecutionTrace(answer, caller.total_cost, caller.count)
         if traces is not None:
-            traces[key] = (message, e.partial_cost)
-        raise BudgetExceeded(message, partial_cost=e.partial_cost) from None
-    trace = ExecutionTrace(answer, caller.total_cost, caller.count)
-    if traces is not None:
-        traces[key] = trace
+            traces[key] = trace
+    if trace.answer is None:
+        raise BudgetExceeded(
+            f"genome {genome.workflow_id!r}: call budget {call_budget} exceeded",
+            partial_cost=trace.total_cost,
+        )
     return trace
 
 
@@ -131,7 +131,8 @@ def evaluate(answer: str, query: TaskQuery) -> float:
         got = extract_number(answer)
         if got is None:
             return 0.0
-        tol = 1e-6 * max(abs(gold), 1e-9)
+        # under half a unit, so an integer gold needs that integer
+        tol = min(1e-6 * max(abs(gold), 1e-9), 0.5)
         return 1.0 if abs(got - gold) <= tol else 0.0
     raise InvalidInput(f"unknown metric {query.metric!r}")
 

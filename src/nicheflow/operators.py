@@ -11,6 +11,7 @@ executor's over a workflow's operators, the Custom runner's over its nodes.
 
 import ast
 import functools
+import heapq
 import operator as _op_mod
 import re
 import string
@@ -57,19 +58,15 @@ def topological_order(nodes: Sequence[str], edges: Iterable[tuple[str, str]]) ->
         if b not in succ[a]:
             succ[a].add(b)
             indeg[b] += 1
-    ready = sorted(n for n in nodes if indeg[n] == 0)
+    ready = sorted(n for n in nodes if indeg[n] == 0)  # a sorted list is a heap
     order: list[str] = []
     while ready:
-        n = ready.pop(0)
+        n = heapq.heappop(ready)
         order.append(n)
-        for m in sorted(succ[n]):
+        for m in succ[n]:
             indeg[m] -= 1
             if indeg[m] == 0:
-                # insert keeping `ready` sorted for deterministic order
-                lo = 0
-                while lo < len(ready) and ready[lo] < m:
-                    lo += 1
-                ready.insert(lo, m)
+                heapq.heappush(ready, m)
     if len(order) != len(nodes):
         return None
     return order

@@ -791,6 +791,19 @@ def test_cli_exit_code_for_corrupt_manifest(tmp_path, capsys, command):
     assert "storage error" in capsys.readouterr().err
 
 
+def test_cli_evolve_refuses_a_member_with_a_model_outside_the_pool(tmp_path, capsys):
+    path, run_dir = _write_config(tmp_path)
+    assert main(["--config", str(path), "init"]) == 0
+    member = sorted((run_dir / "population").glob("*.json"))[0]
+    doc = json.loads(member.read_text())
+    doc["operators"][0]["invoking_nodes"][0]["model_id"] = "nope"
+    member.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "evolve", "--steps", "1"]) == 4
+    err = capsys.readouterr().err
+    assert "storage error" in err and member.stem in err and "'nope'" in err
+    assert not (run_dir / "steps.jsonl").exists()
+
+
 @pytest.mark.parametrize("command", [["front"], ["infer", "--query", "Compute 2 + 2."],
                                      ["evolve", "--steps", "1"]])
 def test_cli_exit_code_for_corrupt_member_file(tmp_path, capsys, command):

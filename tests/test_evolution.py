@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from nicheflow import evolution
 from nicheflow.embedding import HashingEmbedder, cosine, tag_profile
-from nicheflow.errors import ConfigError
+from nicheflow.errors import ConfigError, InvalidState
 from nicheflow.evolution import (
     EvolutionConfig,
     EvolveDeps,
@@ -784,6 +785,29 @@ def test_evolve_step_preserves_size_and_advances_generation(pool, sim_provider, 
     assert report.eliminated_id in report.evaluations or not report.accepted
     for m in new_pop.members:
         assert validate(m, pool) == []
+
+
+def test_evolve_step_leaves_its_input_population_as_it_was(pool, sim_provider, embedder):
+    deps = _make_deps(pool, sim_provider, embedder)
+    pop = init_population(deps.cfg, DEFAULT_OPERATOR_REPO, pool, embedder,
+                          np.random.default_rng([21, 0]))
+    members = list(pop.members)
+    new_pop, report = evolve_step(pop, _task(), deps, np.random.default_rng([21, 1000]))
+    assert all(a is b for a, b in zip(pop.members, members, strict=True))
+    assert pop.generation == 0
+    # the executed incumbents come back as updated copies
+    kept = [m for m in new_pop.members if m.workflow_id in report.evaluations
+            and m.workflow_id != report.offspring_id]
+    assert kept and all(m not in members for m in kept)
+
+
+def test_evolve_step_raises_on_an_invalid_offspring(pool, sim_provider, embedder, monkeypatch):
+    deps = _make_deps(pool, sim_provider, embedder)
+    pop = init_population(deps.cfg, DEFAULT_OPERATOR_REPO, pool, embedder,
+                          np.random.default_rng([21, 0]))
+    monkeypatch.setattr(evolution, "validate", lambda *a, **k: ["patched violation"])
+    with pytest.raises(InvalidState, match="patched violation"):
+        evolve_step(pop, _task(), deps, np.random.default_rng([21, 1000]))
 
 
 def test_evolve_step_is_deterministic(pool, embedder):

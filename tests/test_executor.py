@@ -12,6 +12,7 @@ from nicheflow.errors import (
     TemplateError,
 )
 from nicheflow.executor import (
+    ExecutionTrace,
     TaskQuery,
     _Caller,
     evaluate,
@@ -372,8 +373,10 @@ def test_a_memoised_over_budget_run_replays_its_message_and_partial_cost(pool):
         execute(g, QUERY, unreachable, pool, call_budget=10, traces=traces)
     assert str(replay.value) == str(first.value)
     assert replay.value.partial_cost == first.value.partial_cost > 0.0
-    # kept as plain values: an exception's traceback would pin the run's frames
-    assert traces == {(g.workflow_id, QUERY.text): (str(first.value), first.value.partial_cost)}
+    # kept as a trace with no answer: an exception's traceback would pin the run's frames
+    (kept,) = traces.values()
+    assert isinstance(kept, ExecutionTrace) and kept.answer is None
+    assert kept.total_cost == first.value.partial_cost and kept.call_count == 10
 
 
 def test_execute_rejects_cyclic_genome(pool):
@@ -405,6 +408,8 @@ def test_evaluate_numeric():
     assert evaluate("roughly 41.99999999999", q) == 1.0  # inside 1e-6 relative tol
     assert evaluate("I think 43", q) == 0.0
     assert evaluate("forty-two", q) == 0.0
+    # a large gold still needs the exact integer: gold + 1 is the simulated wrong answer
+    assert evaluate("1796257", TaskQuery("q", "t", gold="1796256", metric="numeric")) == 0.0
 
 
 def test_evaluate_exact():
