@@ -43,9 +43,7 @@ def _random_expression(rng: np.random.Generator, depth: int) -> str:
 
 
 def generate_suite(
-    domains: Sequence[DomainSpec],
-    tasks_per_domain: int = 20,
-    seed: int = 0,
+    domains: Sequence[DomainSpec], tasks_per_domain: int, seed: int
 ) -> SyntheticSuite:
     """Arithmetic-expression tasks whose gold answers come from an exact
     evaluator; difficulty maps to expression depth; generation is

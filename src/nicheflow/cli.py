@@ -22,7 +22,7 @@ from .errors import (
 from .evolution import EvolveDeps, Population, evolve_step, infer, init_population
 from .executor import TaskQuery, evaluate
 from .genome import validate
-from .memory import LlmExperiencePool, WorkflowExperiencePool, fold_report
+from .memory import fold_report
 from .snapshot import RunLock, append_step_report, load_population, repair_step_log, save_population
 from .templates import DEFAULT_OPERATOR_REPO
 
@@ -69,8 +69,6 @@ def cmd_evolve(cfg: RunConfig, steps: int) -> Population:
             pool=pool,
             provider=cfg.make_provider(),
             embedder=cfg.make_embedder(),
-            llm_pool=LlmExperiencePool(),
-            wf_pool=WorkflowExperiencePool(),
         )
         # the experience of the steps the snapshot has seen, from their reports
         for report in repair_step_log(cfg.run_dir, pop.generation):

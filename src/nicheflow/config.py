@@ -59,14 +59,24 @@ def _config_hash(doc: dict) -> str:
     return hashlib.sha256(canonical.dumps(hashable).encode("utf-8")).hexdigest()[:16]
 
 
-def _flag(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"{value!r} is not true or false")
-    return value
+def _json(what: str, *types):
+    """The converter of a JSON value of ``types`` alone: ``true`` and
+    ``false`` are no integer or number, and ``"15"`` is no integer. A
+    number is read as a float."""
+
+    def convert(value):
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            raise ValueError(f"{value!r} is not {what}")
+        return float(value) if float in types else value
+
+    return convert
 
 
-def _same(value):
-    return value
+_flag = _json("true or false", bool)
+_integer = _json("an integer", int)
+_number = _json("a number", int, float)
+_string = _json("a string", str)
+_object = _json("an object", dict)
 
 
 def _fields(doc, what: str, convert: dict) -> dict:
@@ -91,36 +101,36 @@ def _fields(doc, what: str, convert: dict) -> dict:
 # What a config may set at each level, each key with the conversion of its
 # JSON value.
 _HYPERPARAMETERS = {
-    "population_size": int,
-    "parents_k": int,
-    "kappa": int,
-    "niche_size": int,
-    "phi": float,
-    "rho_llm": float,
-    "rho_prompt": float,
-    "m_max": int,
-    "call_budget": int,
-    "skip_edge_prob": float,
+    "population_size": _integer,
+    "parents_k": _integer,
+    "kappa": _integer,
+    "niche_size": _integer,
+    "phi": _number,
+    "rho_llm": _number,
+    "rho_prompt": _number,
+    "m_max": _integer,
+    "call_budget": _integer,
+    "skip_edge_prob": _number,
     "llm_evolution": _flag,
-    "evolver_model": _same,
+    "evolver_model": _json("a string or null", str, type(None)),
 }
 _SIM_KEYS = {
-    "success_by_domain": dict,
-    "default_success": float,
-    "prompt_tokens": int,
-    "completion_tokens": int,
+    "success_by_domain": lambda doc: {d: _number(p) for d, p in _object(doc).items()},
+    "default_success": _number,
+    "prompt_tokens": _integer,
+    "completion_tokens": _integer,
 }
 _MODEL_KEYS = {
-    "model_id": _same,
-    "prompt_price": float,
-    "completion_price": float,
-    "latency_hint": float,
+    "model_id": _string,
+    "prompt_price": _number,
+    "completion_price": _number,
+    "latency_hint": _number,
     "sim": lambda doc: _fields(doc, "sim key", _SIM_KEYS),
 }
-_DOMAIN_KEYS = {"label": _same, "difficulty": float}
+_DOMAIN_KEYS = {"label": _string, "difficulty": _number}
 _SUITE_KEYS = {
     "domains": lambda docs: [DomainSpec(**_fields(d, "domain key", _DOMAIN_KEYS)) for d in docs],
-    "tasks_per_domain": int,
+    "tasks_per_domain": _integer,
 }
 
 
@@ -132,18 +142,18 @@ def _model(doc) -> tuple[ModelSpec, SimModelProfile]:
 
 
 _CONFIG_KEYS = {
-    "seed": int,
-    "run_dir": Path,
-    "backend": _same,
+    "seed": _integer,
+    "run_dir": lambda value: Path(_string(value)),
+    "backend": _string,
     "models": lambda docs: [_model(d) for d in docs],
     "hyperparameters": lambda doc: EvolutionConfig(
         **_fields(doc, "hyperparameter", _HYPERPARAMETERS)
     ),
     "suite": lambda doc: _fields(doc, "suite key", _SUITE_KEYS),
-    "endpoint": _same,
-    "api_key_env": _same,
-    "embedding_dim": int,
-    "checkpoint_interval": int,
+    "endpoint": _string,
+    "api_key_env": _string,
+    "embedding_dim": _integer,
+    "checkpoint_interval": _integer,
 }
 
 

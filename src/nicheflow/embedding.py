@@ -17,7 +17,6 @@ from .genome import ModelPool, WorkflowGenome, serialize
 from .provider import Evolver
 from .templates import TAG_GENERATION_PROMPT
 
-DEFAULT_DIM = 384
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
@@ -39,7 +38,7 @@ class HashingEmbedder:
     vector is kept. Cached vectors are read-only.
     """
 
-    def __init__(self, dim: int = DEFAULT_DIM):
+    def __init__(self, dim: int):
         if dim < 2:
             raise InvalidInput("embedding dimension must be >= 2")
         self.dim = dim
@@ -122,7 +121,7 @@ def _parse_tag_reply(reply: str, kappa: int) -> Optional[list[str]]:
     return tags[:kappa]
 
 
-def structural_tags(genome: WorkflowGenome, pool: ModelPool, kappa: int = 5) -> list[str]:
+def structural_tags(genome: WorkflowGenome, pool: ModelPool, kappa: int) -> list[str]:
     """Deterministic fallback tagger built from the genome's own structure."""
     kinds = sorted({op.kind for op in genome.operators})
     models = sorted(
@@ -144,7 +143,7 @@ def generate_tags(
     genome: WorkflowGenome,
     evolver: Optional[Evolver],
     pool: ModelPool,
-    kappa: int = 5,
+    kappa: int,
 ) -> list[str]:
     """Ask the evolver for kappa comma-separated tags; fall back to the
     structural tagger without an evolver, on a malformed reply, or on

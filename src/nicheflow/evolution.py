@@ -52,7 +52,6 @@ class EvolutionConfig:
     m_max: int = 4
     call_budget: int = DEFAULT_CALL_BUDGET
     skip_edge_prob: float = 0.25
-    mutation_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)  # add/delete/rewire
     llm_evolution: bool = False
     evolver_model: Optional[str] = None
 
@@ -263,7 +262,7 @@ def _llm_offspring_structure(
     parents, evolver: Evolver, cfg: EvolutionConfig, pool: ModelPool, query_text: str
 ):
     prompt = CROSSOVER_PROMPT.format(
-        QUERY=query_text or "(general task stream)",
+        QUERY=query_text,
         PARENTS="\n\n".join(serialize(p) for p in parents),
     )
 
@@ -299,8 +298,8 @@ def crossover(
     cfg: EvolutionConfig,
     rng: np.random.Generator,
     pool: ModelPool,
-    taken: Optional[set[str]] = None,
-    query_text: str = "",
+    taken: set[str],
+    query_text: str,
 ) -> WorkflowGenome:
     """Recombine the parents into an offspring sketch.
 
@@ -310,7 +309,6 @@ def crossover(
     """
     if not parents:
         raise ConfigError("crossover needs at least one parent")
-    taken = set(taken or ())
     lineage = {"parents": [p.workflow_id for p in parents], "mode": "fallback"}
 
     if evolver is not None:
@@ -334,6 +332,10 @@ def crossover(
 
 
 # --- mutations ------------------------------------------------------------
+
+# Draw weights of operator mutation's add, delete and rewire actions.
+MUTATION_WEIGHTS = np.full(3, 1 / 3)
+
 
 def _edit_nodes(genome: WorkflowGenome, rng: np.random.Generator, rho: float, edit) -> WorkflowGenome:
     """Offer each invoking node to ``edit`` with probability rho; ``edit``
@@ -363,11 +365,11 @@ def _edit_nodes(genome: WorkflowGenome, rng: np.random.Generator, rho: float, ed
 
 def mutate_llm(
     genome: WorkflowGenome,
-    llm_pool: Optional[LlmExperiencePool],
+    llm_pool: LlmExperiencePool,
     pool: ModelPool,
     rng: np.random.Generator,
-    domain: str = "general",
-    rho: float = 0.3,
+    domain: str,
+    rho: float,
     evolver: Optional[Evolver] = None,
 ) -> WorkflowGenome:
     """Swap invoking-node model backbones: the evolver's pick when it names a
@@ -376,11 +378,7 @@ def mutate_llm(
     model_ids = pool.model_ids
     if len(model_ids) < 2:
         return genome
-    # a model's draw weight: its positive rate, or 1 with no experience pool
-    weights_of = {
-        m: 1.0 if llm_pool is None else llm_pool.query_summary(m, domain).positive_rate
-        for m in model_ids
-    }
+    weights_of = {m: llm_pool.query_summary(m, domain).positive_rate for m in model_ids}
 
     def swap(node: InvokingNode) -> Optional[InvokingNode]:
         replacement = None
@@ -401,14 +399,12 @@ def mutate_llm(
 def _llm_pick_model(node, llm_pool, pool, domain, evolver: Evolver) -> Optional[str]:
     history = []
     for m in pool.model_ids:
-        if llm_pool is None:
-            break
         s = llm_pool.query_summary(m, domain)
         history.append(f"{m}: {s.positive_count} positive / {s.negative_count} negative")
     prompt = LLM_MUTATION_PROMPT.format(
         MODELS=", ".join(pool.model_ids),
         DOMAIN=domain,
-        HISTORY="\n".join(history) or "(none)",
+        HISTORY="\n".join(history),
         CURRENT=node.model_id,
     )
 
@@ -428,9 +424,9 @@ def _placeholders(prompt: str) -> set[str]:
 
 def mutate_prompt(
     genome: WorkflowGenome,
-    wf_pool: Optional[WorkflowExperiencePool],
+    wf_pool: WorkflowExperiencePool,
     rng: np.random.Generator,
-    rho: float = 0.3,
+    rho: float,
     evolver: Optional[Evolver] = None,
 ) -> WorkflowGenome:
     """Rewrite node prompts, by the evolver when it replies, else by a random
@@ -454,10 +450,8 @@ def mutate_prompt(
 def _llm_rewrite_prompt(node, genome, wf_pool, evolver: Evolver) -> Optional[str]:
     # An offspring inherits its prompts from its first parent, so that
     # parent's outcomes are the history of the prompt being rewritten.
-    history = "(none)"
-    if wf_pool is not None:
-        first_parent = (genome.lineage.get("parents") or [genome.workflow_id])[0]
-        history = "\n".join(wf_pool.query_summary(first_parent).recent_commentaries) or "(none)"
+    first_parent = (genome.lineage.get("parents") or [genome.workflow_id])[0]
+    history = "\n".join(wf_pool.query_summary(first_parent).recent_commentaries) or "(none)"
     prompt = PROMPT_MUTATION_PROMPT.format(HISTORY=history, PROMPT=node.prompt)
     return evolver.ask(prompt, lambda reply: reply.strip() or None)
 
@@ -467,13 +461,12 @@ def mutate_operator(
     rng: np.random.Generator,
     pool: ModelPool,
     cfg: EvolutionConfig,
-    repo: Sequence[str] = DEFAULT_OPERATOR_REPO,
+    repo: Sequence[str],
 ) -> WorkflowGenome:
-    """Add an operator, delete a non-sink operator, or rewire one inter-edge;
-    any result failing validation is discarded."""
-    weights = np.asarray(cfg.mutation_weights, dtype=float)
-    weights = weights / weights.sum()
-    action = int(rng.choice(3, p=weights))
+    """Add an operator, delete a non-sink operator, or rewire one inter-edge,
+    drawn with ``MUTATION_WEIGHTS``; any result failing validation is
+    discarded."""
+    action = int(rng.choice(3, p=MUTATION_WEIGHTS))
     ops = list(genome.operators)
     edges = list(genome.inter_edges)
 
@@ -511,7 +504,7 @@ def mutate_operator(
         edges.append(candidates[int(rng.integers(len(candidates)))])
         candidate = replace(genome, inter_edges=tuple(edges))
 
-    if validate(candidate, pool, kappa=len(genome.tags) or 5):
+    if validate(candidate, pool, kappa=cfg.kappa):
         return genome
     return candidate
 
@@ -612,7 +605,7 @@ def epsilon_indicator(a: ObjectivePoint, b: ObjectivePoint, normbox: NormBox) ->
     return max(gb[0] - ga[0], gb[1] - ga[1])
 
 
-def fitness(points: dict[str, ObjectivePoint], phi: float = 0.05) -> dict[str, float]:
+def fitness(points: dict[str, ObjectivePoint], phi: float) -> dict[str, float]:
     """Indicator fitness: F(x) = sum over y != x of exp(-I(y,x) / (phi*Imax)).
 
     Smaller is better; the largest value marks the elimination candidate.
@@ -638,7 +631,7 @@ def fitness(points: dict[str, ObjectivePoint], phi: float = 0.05) -> dict[str, f
 
 
 def environmental_selection(
-    pop: Population, pool: NichingPool, phi: float = 0.05
+    pop: Population, pool: NichingPool, phi: float
 ) -> tuple[Population, str]:
     """Eliminate the worst-fitness candidate; the offspring only enters the
     population when an incumbent is eliminated instead."""
@@ -670,8 +663,8 @@ class EvolveDeps:
     provider: object
     embedder: object
     repo: Sequence[str] = DEFAULT_OPERATOR_REPO
-    llm_pool: Optional[LlmExperiencePool] = None
-    wf_pool: Optional[WorkflowExperiencePool] = None
+    llm_pool: LlmExperiencePool = field(default_factory=LlmExperiencePool)
+    wf_pool: WorkflowExperiencePool = field(default_factory=WorkflowExperiencePool)
     # (workflow id, query text) -> trace, filled for a SimulatedProvider
     # only; ``evolve_step`` keeps the entries of the live population alone.
     # The provider, pool and call budget must stay those of the run.

@@ -27,6 +27,10 @@ class TaskQuery:
     def __post_init__(self):
         if not self.text.strip():
             raise InvalidInput("query text must be nonempty")
+        if self.metric not in ("exact", "numeric", "custom"):
+            raise InvalidInput(f"query {self.query_id!r}: unknown metric {self.metric!r}")
+        if self.metric == "custom" and self.scorer is None:
+            raise InvalidInput(f"query {self.query_id!r}: custom metric requires a scorer callback")
 
 
 @dataclass(frozen=True)
@@ -117,22 +121,18 @@ def _normalize_text(text: str) -> str:
 def evaluate(answer: str, query: TaskQuery) -> float:
     """Score an answer in [0,1] per the query's metric."""
     if query.metric == "custom":
-        if query.scorer is None:
-            raise InvalidInput("custom metric requires a scorer callback")
         return float(query.scorer(answer, query))
     if query.gold is None:
         raise InvalidInput(f"query {query.query_id!r}: metric {query.metric} requires gold")
     if query.metric == "exact":
         return 1.0 if _normalize_text(answer) == _normalize_text(query.gold) else 0.0
-    if query.metric == "numeric":
-        gold = parse_number(query.gold)
-        if gold is None:
-            raise InvalidInput(f"query {query.query_id!r}: gold is not numeric")
-        got = extract_number(answer)
-        if got is None:
-            return 0.0
-        # under half a unit, so an integer gold needs that integer
-        tol = min(1e-6 * max(abs(gold), 1e-9), 0.5)
-        return 1.0 if abs(got - gold) <= tol else 0.0
-    raise InvalidInput(f"unknown metric {query.metric!r}")
+    gold = parse_number(query.gold)  # the numeric metric
+    if gold is None:
+        raise InvalidInput(f"query {query.query_id!r}: gold is not numeric")
+    got = extract_number(answer)
+    if got is None:
+        return 0.0
+    # under half a unit, so an integer gold needs that integer
+    tol = min(1e-6 * max(abs(gold), 1e-9), 0.5)
+    return 1.0 if abs(got - gold) <= tol else 0.0
 

@@ -125,7 +125,7 @@ def sink_operators(genome: WorkflowGenome) -> list[str]:
     return [op.op_id for op in genome.operators if op.op_id not in has_out]
 
 
-def validate(genome: WorkflowGenome, pool: ModelPool, kappa: int = 5) -> list[str]:
+def validate(genome: WorkflowGenome, pool: ModelPool, kappa: int) -> list[str]:
     """Return every invariant violation, deterministically ordered.
 
     Violations are data, not failures: an empty list means the genome is valid.
@@ -151,6 +151,11 @@ def validate(genome: WorkflowGenome, pool: ModelPool, kappa: int = 5) -> list[st
         problem = arity_violation(op)
         if problem is not None:
             v.append(problem)
+        for name, value in op.params.items():
+            if name not in OPERATORS[op.kind].params:
+                v.append(f"operator {op.op_id!r}: kind {op.kind} has no param {name!r}")
+            elif isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                v.append(f"operator {op.op_id!r}: param {name!r} is {value!r}, not an integer >= 1")
         if not op.invoking_nodes:
             continue
         node_ids = [n.node_id for n in op.invoking_nodes]

@@ -65,9 +65,7 @@ class WorkflowExperiencePool(_ExperiencePool):
 
 
 def fold_report(
-    report: dict,
-    llm_pool: Optional[LlmExperiencePool],
-    wf_pool: Optional[WorkflowExperiencePool],
+    report: dict, llm_pool: LlmExperiencePool, wf_pool: WorkflowExperiencePool
 ) -> None:
     """Append one step report's outcomes: per evaluated member, in id order,
     one workflow outcome and one outcome per model the member uses. A perf
@@ -75,12 +73,10 @@ def fold_report(
     domain = report["domain"]
     for workflow_id, evaluation in report["evaluations"].items():
         positive = evaluation["perf"] >= 1.0
-        if wf_pool is not None:
-            commentary = (
-                f"{'Positive' if positive else 'Negative'} on {domain} query {report['query_id']}: "
-                f"perf {evaluation['perf']:g}, cost {evaluation['cost']:.3g}"
-            )
-            wf_pool.append(workflow_id, positive, domain, commentary)
-        if llm_pool is not None:
-            for model_id in evaluation["models"]:
-                llm_pool.append(model_id, positive, domain)
+        commentary = (
+            f"{'Positive' if positive else 'Negative'} on {domain} query {report['query_id']}: "
+            f"perf {evaluation['perf']:g}, cost {evaluation['cost']:.3g}"
+        )
+        wf_pool.append(workflow_id, positive, domain, commentary)
+        for model_id in evaluation["models"]:
+            llm_pool.append(model_id, positive, domain)

@@ -165,15 +165,12 @@ class InFlightProvider:
                 self._in_flight -= 1
 
 
-def library_setup(cfg, provider, seed, llm_pool=None, wf_pool=None):
+def library_setup(cfg, provider, seed):
     """Set-up of the README's library loop on the two-domain suite: the
     initial population, the step dependencies and the query stream."""
     pool = ModelPool(MODEL_SPECS)
     embedder = HashingEmbedder(dim=64)
-    deps = EvolveDeps(
-        cfg=cfg, pool=pool, provider=provider, embedder=embedder,
-        llm_pool=llm_pool, wf_pool=wf_pool,
-    )
+    deps = EvolveDeps(cfg=cfg, pool=pool, provider=provider, embedder=embedder)
     domains = [DomainSpec("easy", 0.2), DomainSpec("hard", 0.8)]
     tasks = interleave_tasks(generate_suite(domains, 20, seed=seed))
     pop = init_population(cfg, DEFAULT_OPERATOR_REPO, pool, embedder,

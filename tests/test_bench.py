@@ -75,7 +75,7 @@ def test_generate_suite_zero_difficulty_is_a_literal():
 
 def test_generate_suite_requires_domains():
     with pytest.raises(ConfigError):
-        generate_suite([], tasks_per_domain=5)
+        generate_suite([], tasks_per_domain=5, seed=0)
 
 
 def test_interleave_tasks_round_robins_domains():

@@ -148,6 +148,35 @@ _OUT_OF_RANGE = [
 ]
 
 
+# A value of the wrong JSON type, and its key.
+_WRONG_TYPE = [
+    ({"seed": True}, "seed"),
+    ({"seed": 7.0}, "seed"),
+    ({"run_dir": 7}, "run_dir"),
+    ({"backend": 1}, "backend"),
+    ({"endpoint": ["x"]}, "endpoint"),
+    ({"api_key_env": None}, "api_key_env"),
+    ({"embedding_dim": 64.0}, "embedding_dim"),
+    ({"checkpoint_interval": "5"}, "checkpoint_interval"),
+    ({"hyperparameters": {"population_size": 15.9}}, "population_size"),
+    ({"hyperparameters": {"population_size": "15"}}, "population_size"),
+    ({"hyperparameters": {"phi": "0.1"}}, "phi"),
+    ({"hyperparameters": {"rho_llm": False}}, "rho_llm"),
+    ({"hyperparameters": {"llm_evolution": 1}}, "llm_evolution"),
+    ({"hyperparameters": {"evolver_model": 7}}, "evolver_model"),
+    ({"models": _models(model_id=7)}, "model_id"),
+    ({"models": _models(prompt_price="0.05")}, "prompt_price"),
+    ({"models": _models(latency_hint=True)}, "latency_hint"),
+    ({"models": _models(sim={"success_by_domain": {"easy": "0.5"}})}, "success_by_domain"),
+    ({"models": _models(sim={"success_by_domain": [["easy", 0.5]]})}, "success_by_domain"),
+    ({"models": _models(sim={"default_success": None})}, "default_success"),
+    ({"models": _models(sim={"prompt_tokens": 120.5})}, "prompt_tokens"),
+    ({"suite": {"tasks_per_domain": 10.0}}, "tasks_per_domain"),
+    ({"suite": {"domains": [{"label": 3, "difficulty": 0.2}]}}, "label"),
+    ({"suite": {"domains": [{"label": "x", "difficulty": "0.2"}]}}, "difficulty"),
+]
+
+
 @pytest.mark.parametrize("mutation", [
     {"backend": "quantum"},
     {"models": []},
@@ -194,6 +223,32 @@ def test_config_error_names_the_unknown_key(tmp_path, mutation, key):
         parse_config(doc)
 
 
+@pytest.mark.parametrize("mutation, key", _WRONG_TYPE)
+def test_config_error_names_the_key_of_a_value_of_the_wrong_type(tmp_path, mutation, key):
+    doc = _config_doc(tmp_path / "run")
+    doc.update(mutation)
+    with pytest.raises(ConfigError, match=f"^bad .*'{key}': .* is not "):
+        parse_config(doc)
+
+
+def test_config_numbers_take_integers_and_evolver_model_takes_null(tmp_path):
+    doc = _config_doc(tmp_path / "run")
+    doc["hyperparameters"].update(phi=1, evolver_model=None)
+    cfg = parse_config(doc)
+    assert cfg.evolution.phi == 1.0 and isinstance(cfg.evolution.phi, float)
+    assert cfg.evolution.evolver_model is None
+
+
+def test_init_rejects_a_model_id_that_is_no_string(tmp_path, capsys):
+    doc = _config_doc(tmp_path / "run")
+    doc["models"][0]["model_id"] = 7
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "init"]) == 2
+    assert capsys.readouterr().err == "config error: bad model key 'model_id': 7 is not a string\n"
+    assert not (tmp_path / "run").exists()
+
+
 def _field_names(cls) -> set[str]:
     return {f.name for f in dataclasses.fields(cls)}
 
@@ -201,7 +256,7 @@ def _field_names(cls) -> set[str]:
 def test_config_keys_match_the_dataclass_fields():
     """A field deleted from a dataclass cannot outlive its config key, nor the
     reverse."""
-    assert set(config._HYPERPARAMETERS) == _field_names(EvolutionConfig) - {"mutation_weights"}
+    assert set(config._HYPERPARAMETERS) == _field_names(EvolutionConfig)
     assert set(config._MODEL_KEYS) == _field_names(ModelSpec) | {"sim"}
     assert set(config._SIM_KEYS) == _field_names(SimModelProfile) - {"model_id"}
     assert set(config._DOMAIN_KEYS) == _field_names(DomainSpec)
@@ -705,9 +760,12 @@ def test_cli_bench_generates_suite_and_report(tmp_path, capsys):
     "{}",
     '{"tasks": [{"text": "Compute 2 + 2."}]}',
     '{"tasks": [{"query_id": "q", "text": " "}]}',
-], ids=["invalid-json", "no-tasks", "a-task-without-query-id", "a-blank-task"])
+    '{"tasks": [{"query_id": "q", "text": "Compute 2 + 2.", "gold": "4", "metric": "nonsense"}]}',
+    '{"tasks": [{"query_id": "q", "text": "Compute 2 + 2.", "metric": "custom"}]}',
+], ids=["invalid-json", "no-tasks", "a-task-without-query-id", "a-blank-task",
+        "an-unknown-metric", "a-custom-metric"])
 def test_cli_bench_refuses_a_malformed_suite(tmp_path, capsys, suite):
-    path, _ = _write_config(tmp_path)
+    path, run_dir = _write_config(tmp_path)
     assert main(["--config", str(path), "init"]) == 0
     suite_path = tmp_path / "suite.json"
     suite_path.write_text(suite)
@@ -715,6 +773,7 @@ def test_cli_bench_refuses_a_malformed_suite(tmp_path, capsys, suite):
     assert main(["--config", str(path), "bench", "--suite", str(suite_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and str(suite_path) in err
+    assert not (run_dir / "bench_report.json").exists()
 
 
 def test_cli_bench_scores_an_over_budget_member_zero(tmp_path, capsys):
@@ -801,6 +860,24 @@ def test_cli_evolve_refuses_a_member_with_a_model_outside_the_pool(tmp_path, cap
     assert main(["--config", str(path), "evolve", "--steps", "1"]) == 4
     err = capsys.readouterr().err
     assert "storage error" in err and member.stem in err and "'nope'" in err
+    assert not (run_dir / "steps.jsonl").exists()
+
+
+def test_cli_evolve_refuses_a_member_with_a_param_that_is_no_integer(tmp_path, capsys):
+    path, run_dir = _write_config(tmp_path)
+    assert main(["--config", str(path), "init"]) == 0
+    for member in sorted((run_dir / "population").glob("*.json")):
+        doc = json.loads(member.read_text())
+        op = next((op for op in doc.get("operators", ()) if op["params"]), None)
+        if op is not None:
+            break
+    name = next(iter(op["params"]))
+    op["params"][name] = "abc"
+    member.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "evolve", "--steps", "1"]) == 4
+    err = capsys.readouterr().err
+    assert "storage error" in err and member.stem in err
+    assert f"param {name!r} is 'abc'" in err
     assert not (run_dir / "steps.jsonl").exists()
 
 

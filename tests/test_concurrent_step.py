@@ -11,7 +11,6 @@ import pytest
 
 from nicheflow.errors import ProviderError
 from nicheflow.evolution import EvolutionConfig, evolve_step
-from nicheflow.memory import LlmExperiencePool, WorkflowExperiencePool
 from nicheflow.provider import SimulatedProvider
 
 from conftest import SIM_PROFILES, InFlightProvider, library_setup
@@ -32,8 +31,7 @@ class _BigIsDown(SimulatedProvider):
 @pytest.mark.parametrize("concurrent", [False, True], ids=["serial", "concurrent"])
 def test_a_failing_step_leaves_the_pools_unchanged(concurrent):
     pop, deps, tasks = library_setup(
-        EvolutionConfig(), SimulatedProvider(SIM_PROFILES, seed=SEED), SEED,
-        llm_pool=LlmExperiencePool(), wf_pool=WorkflowExperiencePool(),
+        EvolutionConfig(), SimulatedProvider(SIM_PROFILES, seed=SEED), SEED
     )
     for step in range(3):  # pools with some experience in them
         pop, _ = evolve_step(pop, tasks[step], deps, np.random.default_rng([SEED, 1000 + step]))

@@ -147,7 +147,7 @@ def test_parse_tag_reply_uses_last_line_and_truncates():
 
 def test_generate_tags_without_provider_is_structural(pool):
     g = build_genome(kinds=("CoT", "Debate"))
-    tags = generate_tags(g, None, pool)
+    tags = generate_tags(g, None, pool, 5)
     assert tags == structural_tags(g, pool, 5)
     assert len(tags) == 5
 
@@ -164,7 +164,7 @@ def test_structural_tags_reflect_structure(pool):
 def test_generate_tags_from_wellformed_reply(pool):
     provider = ScriptedProvider(["alpha, beta, gamma, delta, epsilon"])
     g = build_genome()
-    tags = generate_tags(g, Evolver(provider, "big"), pool)
+    tags = generate_tags(g, Evolver(provider, "big"), pool, 5)
     assert tags == ["alpha", "beta", "gamma", "delta", "epsilon"]
     assert len(provider.requests) == 1
 
@@ -181,7 +181,7 @@ def test_generate_tags_asks_for_kappa_tags(pool):
 def test_generate_tags_falls_back_on_a_malformed_reply(pool):
     provider = ScriptedProvider(["nope", "alpha, beta, gamma, delta, epsilon"])
     g = build_genome()
-    tags = generate_tags(g, Evolver(provider, "big"), pool)
+    tags = generate_tags(g, Evolver(provider, "big"), pool, 5)
     assert tags == structural_tags(g, pool, 5)
     assert len(provider.requests) == 1
 
@@ -189,7 +189,7 @@ def test_generate_tags_falls_back_on_a_malformed_reply(pool):
 def test_generate_tags_falls_back_on_transport_failure(pool):
     provider = ScriptedProvider(["x"], fail_after=0)
     g = build_genome()
-    tags = generate_tags(g, Evolver(provider, "big"), pool)
+    tags = generate_tags(g, Evolver(provider, "big"), pool, 5)
     assert tags == structural_tags(g, pool, 5)
 
 
@@ -201,6 +201,6 @@ def test_generate_tags_always_returns_kappa(reply):
 
     pool = ModelPool(MODEL_SPECS)
     g = build_genome()
-    tags = generate_tags(g, Evolver(ScriptedProvider([reply]), "big"), pool)
+    tags = generate_tags(g, Evolver(ScriptedProvider([reply]), "big"), pool, 5)
     assert len(tags) == 5
     assert all(t.strip() for t in tags)

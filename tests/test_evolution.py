@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -37,8 +38,10 @@ from nicheflow.evolution import (
     update_stats,
 )
 from nicheflow.executor import TaskQuery
-from nicheflow.genome import ModelPool, ModelSpec, RunStats, content_hash, serialize, validate
-from nicheflow.memory import LlmExperiencePool
+from nicheflow.genome import (
+    ModelPool, ModelSpec, RunStats, content_hash, serialize, to_document, validate,
+)
+from nicheflow.memory import LlmExperiencePool, WorkflowExperiencePool
 from nicheflow.provider import Evolver, make_task_envelope, parse_task_envelope
 from nicheflow.templates import DEFAULT_OPERATOR_REPO
 
@@ -57,6 +60,7 @@ from conftest import (
 
 # The hand-picked vectors of the genomes below, under tag texts unique to each.
 VECTORS = TableEmbedder()
+QUERY = "Compute 5 + 7."  # the query a crossover prompt quotes
 _tag_ids = itertools.count()
 
 
@@ -168,7 +172,7 @@ def test_init_population_is_valid_and_reproducible(pool, embedder):
     assert len(p1.members) == 10
     assert [serialize(m) for m in p1.members] == [serialize(m) for m in p2.members]
     for m in p1.members:
-        assert validate(m, pool) == []
+        assert validate(m, pool, 5) == []
         assert 1 <= len(m.operators) <= cfg.m_max
         assert len(m.tags) == cfg.kappa
     assert len(p1.ids) == 10
@@ -224,7 +228,7 @@ def test_crossover_fallback_grafts_a_segment(pool):
     p1 = build_genome(kinds=("CoT", "StepBack"), wid=None)
     p2 = build_genome(kinds=("Debate", "Ensemble", "ReAct"))
     cfg = EvolutionConfig()
-    child = crossover([p1, p2], None, cfg, np.random.default_rng(5), pool)
+    child = crossover([p1, p2], None, cfg, np.random.default_rng(5), pool, set(), QUERY)
     kinds1 = [op.kind for op in p1.operators]
     kinds2 = [op.kind for op in p2.operators]
     child_kinds = [op.kind for op in child.operators]
@@ -236,7 +240,7 @@ def test_crossover_fallback_grafts_a_segment(pool):
                                  kinds2.index(child_kinds[0]) + len(child_kinds)]
     assert child.lineage["mode"] == "fallback"
     assert child.lineage["parents"] == [p1.workflow_id, p2.workflow_id]
-    assert validate(child.with_tags([f"t{i}" for i in range(5)]), pool) == []
+    assert validate(child.with_tags([f"t{i}" for i in range(5)]), pool, 5) == []
     # offspring is rewired as a chain with sequential ids
     assert child.op_ids == [f"op{i}" for i in range(len(child.operators))]
     assert child.inter_edges == chain_edges(child.operators)
@@ -245,7 +249,7 @@ def test_crossover_fallback_grafts_a_segment(pool):
 def test_crossover_single_parent_clones_with_fresh_id(pool):
     p1 = build_genome(kinds=("CoT",))
     child = crossover([p1], None, EvolutionConfig(), np.random.default_rng(0), pool,
-                      taken={p1.workflow_id})
+                      {p1.workflow_id}, QUERY)
     assert [op.kind for op in child.operators] == ["CoT"]
     assert child.workflow_id != p1.workflow_id
     assert child.stats == RunStats()
@@ -254,14 +258,16 @@ def test_crossover_single_parent_clones_with_fresh_id(pool):
 def test_crossover_is_rng_deterministic(pool):
     p1 = build_genome(kinds=("CoT", "Debate"))
     p2 = build_genome(kinds=("Ensemble", "StepBack"))
-    c1 = crossover([p1, p2], None, EvolutionConfig(), np.random.default_rng(7), pool)
-    c2 = crossover([p1, p2], None, EvolutionConfig(), np.random.default_rng(7), pool)
+    c1 = crossover([p1, p2], None, EvolutionConfig(), np.random.default_rng(7), pool,
+                   set(), QUERY)
+    c2 = crossover([p1, p2], None, EvolutionConfig(), np.random.default_rng(7), pool,
+                   set(), QUERY)
     assert serialize(c1) == serialize(c2)
 
 
 def test_crossover_requires_a_parent(pool):
     with pytest.raises(ConfigError):
-        crossover([], None, EvolutionConfig(), np.random.default_rng(0), pool)
+        crossover([], None, EvolutionConfig(), np.random.default_rng(0), pool, set(), QUERY)
 
 
 def test_llm_crossover_uses_a_valid_reply(pool):
@@ -270,7 +276,8 @@ def test_llm_crossover_uses_a_valid_reply(pool):
     proposal = build_genome(kinds=("Ensemble", "CoT"))
     provider = ScriptedProvider(["Here you go:\n" + serialize(proposal)])
     evolver = Evolver(provider, "big")
-    child = crossover([p1, p2], evolver, EvolutionConfig(), np.random.default_rng(0), pool)
+    child = crossover([p1, p2], evolver, EvolutionConfig(), np.random.default_rng(0), pool,
+                      set(), QUERY)
     assert [op.kind for op in child.operators] == ["Ensemble", "CoT"]
     assert child.lineage["mode"] == "llm"
 
@@ -280,7 +287,20 @@ def test_llm_crossover_falls_back_after_malformed_replies(pool):
     p2 = build_genome(kinds=("StepBack",))
     provider = ScriptedProvider(["still { not json", serialize(p1)])
     evolver = Evolver(provider, "big")
-    child = crossover([p1, p2], evolver, EvolutionConfig(), np.random.default_rng(0), pool)
+    child = crossover([p1, p2], evolver, EvolutionConfig(), np.random.default_rng(0), pool,
+                      set(), QUERY)
+    assert child.lineage["mode"] == "fallback"
+    assert len(provider.requests) == 1
+
+
+def test_llm_crossover_falls_back_on_a_reply_with_bad_params(pool):
+    p1 = build_genome(kinds=("CoT",))
+    p2 = build_genome(kinds=("StepBack",))
+    proposal = to_document(build_genome(kinds=("SelfConsistency",)))
+    proposal["operators"][0]["params"] = {"samples": 0}
+    provider = ScriptedProvider([json.dumps(proposal)])
+    child = crossover([p1, p2], Evolver(provider, "big"), EvolutionConfig(),
+                      np.random.default_rng(0), pool, set(), QUERY)
     assert child.lineage["mode"] == "fallback"
     assert len(provider.requests) == 1
 
@@ -292,13 +312,14 @@ def test_mutate_llm_noop_cases(pool):
 
     g = build_genome(kinds=("CoT",))
     single = ModelPool([ModelSpec("tiny", 0.1, 0.1)])
-    assert mutate_llm(g, None, single, np.random.default_rng(0), rho=1.0) is g
-    assert mutate_llm(g, None, pool, np.random.default_rng(0), rho=0.0) is g
+    assert mutate_llm(g, LlmExperiencePool(), single, np.random.default_rng(0), "easy",
+                      rho=1.0) is g
+    assert mutate_llm(g, LlmExperiencePool(), pool, np.random.default_rng(0), "easy", rho=0.0) is g
 
 
 def test_mutate_llm_always_swaps_at_rho_one(pool):
     g = build_genome(kinds=("CoT",), model="tiny")
-    out = mutate_llm(g, None, pool, np.random.default_rng(1), rho=1.0)
+    out = mutate_llm(g, LlmExperiencePool(), pool, np.random.default_rng(1), "easy", rho=1.0)
     assert out.operators[0].invoking_nodes[0].model_id != "tiny"
     assert out.operators[0].invoking_nodes[0].model_id in pool
 
@@ -319,16 +340,16 @@ def test_mutate_llm_prefers_historically_positive_models(pool):
 
 def test_mutate_llm_only_touches_model_ids(pool):
     g = build_genome(kinds=("Debate",))
-    out = mutate_llm(g, None, pool, np.random.default_rng(2), rho=1.0)
+    out = mutate_llm(g, LlmExperiencePool(), pool, np.random.default_rng(2), "easy", rho=1.0)
     for a, b in zip(g.operators[0].invoking_nodes, out.operators[0].invoking_nodes):
         assert a.prompt == b.prompt
         assert a.node_id == b.node_id
-    assert validate(out.with_tags([f"t{i}" for i in range(5)]), pool) == []
+    assert validate(out.with_tags([f"t{i}" for i in range(5)]), pool, 5) == []
 
 
 def test_mutate_llm_keeps_each_operator_none_of_whose_nodes_changed(pool):
     g = build_genome(kinds=("CoT",) * 6)
-    out = mutate_llm(g, None, pool, np.random.default_rng(4), rho=0.5)
+    out = mutate_llm(g, LlmExperiencePool(), pool, np.random.default_rng(4), "easy", rho=0.5)
     kept = [b is a for a, b in zip(g.operators, out.operators)]
     assert any(kept) and not all(kept)
     for a, b, same in zip(g.operators, out.operators, kept):
@@ -338,7 +359,7 @@ def test_mutate_llm_keeps_each_operator_none_of_whose_nodes_changed(pool):
 def test_mutate_llm_takes_the_evolvers_pick(pool):
     g = build_genome(kinds=("Debate", "Ensemble", "CoT"), model="tiny")
     provider = ScriptedProvider(["I would use mid"])
-    out = mutate_llm(g, None, pool, np.random.default_rng(3), rho=0.5,
+    out = mutate_llm(g, LlmExperiencePool(), pool, np.random.default_rng(3), "easy", rho=0.5,
                      evolver=Evolver(provider, "big"))
     models = [n.model_id for op in out.operators for n in op.invoking_nodes]
     assert set(models) == {"tiny", "mid"}
@@ -350,9 +371,9 @@ def test_mutate_llm_takes_the_evolvers_pick(pool):
 def test_mutate_llm_falls_back_when_the_evolver_names_no_pool_model(pool):
     g = build_genome(kinds=("Debate", "Ensemble", "CoT"), model="tiny")
     provider = ScriptedProvider(["Understood. Proceeding with the given instructions."])
-    with_evolver = mutate_llm(g, None, pool, np.random.default_rng(3), rho=0.5,
-                              evolver=Evolver(provider, "big"))
-    without = mutate_llm(g, None, pool, np.random.default_rng(3), rho=0.5)
+    with_evolver = mutate_llm(g, LlmExperiencePool(), pool, np.random.default_rng(3), "easy",
+                              rho=0.5, evolver=Evolver(provider, "big"))
+    without = mutate_llm(g, LlmExperiencePool(), pool, np.random.default_rng(3), "easy", rho=0.5)
     assert serialize(with_evolver) == serialize(without) != serialize(g)
     # the fallback swaps every picked node, and each was asked about once
     swapped = [n.model_id != "tiny" for op in without.operators for n in op.invoking_nodes]
@@ -361,12 +382,12 @@ def test_mutate_llm_falls_back_when_the_evolver_names_no_pool_model(pool):
 
 def test_mutate_prompt_noop_at_rho_zero():
     g = build_genome(kinds=("CoT",))
-    assert mutate_prompt(g, None, np.random.default_rng(0), rho=0.0) is g
+    assert mutate_prompt(g, WorkflowExperiencePool(), np.random.default_rng(0), rho=0.0) is g
 
 
 def test_mutate_prompt_preserves_placeholders(pool):
     g = build_genome(kinds=("Debate", "ReAct"))
-    out = mutate_prompt(g, None, np.random.default_rng(4), rho=1.0)
+    out = mutate_prompt(g, WorkflowExperiencePool(), np.random.default_rng(4), rho=1.0)
     changed = 0
     for op_a, op_b in zip(g.operators, out.operators):
         for a, b in zip(op_a.invoking_nodes, op_b.invoking_nodes):
@@ -382,14 +403,16 @@ def test_mutate_prompt_preserves_placeholders(pool):
 def test_mutate_prompt_discards_llm_edit_that_drops_placeholder(pool):
     g = build_genome(kinds=("CoT",))
     evolver = Evolver(ScriptedProvider(["a rewrite with no placeholders at all"]), "big")
-    out = mutate_prompt(g, None, np.random.default_rng(0), rho=1.0, evolver=evolver)
+    out = mutate_prompt(g, WorkflowExperiencePool(), np.random.default_rng(0), rho=1.0,
+                        evolver=evolver)
     assert out.operators[0].invoking_nodes[0].prompt == g.operators[0].invoking_nodes[0].prompt
 
 
 def test_mutate_prompt_accepts_llm_edit_that_keeps_placeholders(pool):
     g = build_genome(kinds=("CoT",))
     evolver = Evolver(ScriptedProvider(["Improved: {task} {context} -- answer carefully."]), "big")
-    out = mutate_prompt(g, None, np.random.default_rng(0), rho=1.0, evolver=evolver)
+    out = mutate_prompt(g, WorkflowExperiencePool(), np.random.default_rng(0), rho=1.0,
+                        evolver=evolver)
     assert out.operators[0].invoking_nodes[0].prompt.startswith("Improved:")
 
 
@@ -400,41 +423,45 @@ def test_mutate_operator_results_always_validate(pool, embedder):
     rng = np.random.default_rng(42)
     for _ in range(300):
         g = pop.members[int(rng.integers(len(pop.members)))]
-        out = mutate_operator(g, rng, pool=pool, cfg=cfg)
-        assert validate(out, pool) == []
+        out = mutate_operator(g, rng, pool=pool, cfg=cfg, repo=DEFAULT_OPERATOR_REPO)
+        assert validate(out, pool, 5) == []
 
 
-def test_mutate_operator_add_inserts_one(pool):
+def test_mutate_operator_add_inserts_one(pool, monkeypatch):
     g = build_genome(kinds=("CoT",))
-    cfg = EvolutionConfig(mutation_weights=(1.0, 0.0, 0.0))
-    out = mutate_operator(g, np.random.default_rng(0), pool=pool, cfg=cfg)
+    monkeypatch.setattr(evolution, "MUTATION_WEIGHTS", np.array([1.0, 0.0, 0.0]))
+    out = mutate_operator(g, np.random.default_rng(0), pool, EvolutionConfig(),
+                          DEFAULT_OPERATOR_REPO)
     assert len(out.operators) == 2
     assert out.inter_edges == chain_edges(out.operators)
 
 
-def test_mutate_operator_delete_keeps_single_op(pool):
+def test_mutate_operator_delete_keeps_single_op(pool, monkeypatch):
     g = build_genome(kinds=("CoT",))
-    cfg = EvolutionConfig(mutation_weights=(0.0, 1.0, 0.0))
-    out = mutate_operator(g, np.random.default_rng(0), pool=pool, cfg=cfg)
+    monkeypatch.setattr(evolution, "MUTATION_WEIGHTS", np.array([0.0, 1.0, 0.0]))
+    out = mutate_operator(g, np.random.default_rng(0), pool, EvolutionConfig(),
+                          DEFAULT_OPERATOR_REPO)
     assert out is g
 
 
-def test_mutate_operator_delete_removes_non_sink(pool):
+def test_mutate_operator_delete_removes_non_sink(pool, monkeypatch):
     g = build_genome(kinds=("CoT", "Debate", "StepBack"))
-    cfg = EvolutionConfig(mutation_weights=(0.0, 1.0, 0.0))
-    out = mutate_operator(g, np.random.default_rng(1), pool=pool, cfg=cfg)
+    monkeypatch.setattr(evolution, "MUTATION_WEIGHTS", np.array([0.0, 1.0, 0.0]))
+    out = mutate_operator(g, np.random.default_rng(1), pool, EvolutionConfig(),
+                          DEFAULT_OPERATOR_REPO)
     assert len(out.operators) == 2
     # the original sink's kind survives
     assert out.operators[-1].kind == "StepBack"
-    assert validate(out, pool) == []
+    assert validate(out, pool, 5) == []
 
 
-def test_mutate_operator_rewire_adds_forward_edge(pool):
+def test_mutate_operator_rewire_adds_forward_edge(pool, monkeypatch):
     g = build_genome(kinds=("CoT", "Debate", "StepBack"))
-    cfg = EvolutionConfig(mutation_weights=(0.0, 0.0, 1.0))
-    out = mutate_operator(g, np.random.default_rng(2), pool=pool, cfg=cfg)
+    monkeypatch.setattr(evolution, "MUTATION_WEIGHTS", np.array([0.0, 0.0, 1.0]))
+    out = mutate_operator(g, np.random.default_rng(2), pool, EvolutionConfig(),
+                          DEFAULT_OPERATOR_REPO)
     assert len(out.inter_edges) == len(g.inter_edges) + 1
-    assert validate(out, pool) == []
+    assert validate(out, pool, 5) == []
 
 
 def test_renumber_operators_remaps_intra_edges():
@@ -761,8 +788,6 @@ def _make_deps(pool, sim_provider, embedder, **cfg_kwargs):
         pool=pool,
         provider=sim_provider,
         embedder=embedder,
-        llm_pool=LlmExperiencePool(),
-        wf_pool=None,
     )
 
 
@@ -784,7 +809,7 @@ def test_evolve_step_preserves_size_and_advances_generation(pool, sim_provider, 
     assert len(report.evaluations) <= 3 + 2 + 1
     assert report.eliminated_id in report.evaluations or not report.accepted
     for m in new_pop.members:
-        assert validate(m, pool) == []
+        assert validate(m, pool, 5) == []
 
 
 def test_evolve_step_leaves_its_input_population_as_it_was(pool, sim_provider, embedder):

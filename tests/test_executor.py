@@ -422,8 +422,14 @@ def test_evaluate_custom_scorer():
     q = TaskQuery("q", "t", metric="custom",
                   scorer=lambda ans, _q: 0.5 if "partial" in ans else 0.0)
     assert evaluate("a partial answer", q) == 0.5
-    with pytest.raises(InvalidInput):
-        evaluate("x", TaskQuery("q", "t", metric="custom"))
+    with pytest.raises(InvalidInput, match="custom metric requires a scorer"):
+        TaskQuery("q", "t", metric="custom")
+
+
+@pytest.mark.parametrize("metric", ["nonsense", "Exact", ""])
+def test_task_query_rejects_an_unknown_metric(metric):
+    with pytest.raises(InvalidInput, match=f"unknown metric {metric!r}"):
+        TaskQuery("q", "t", gold="1", metric=metric)
 
 
 def test_evaluate_requires_gold():

@@ -47,7 +47,7 @@ def test_model_pool_lookup(pool):
 
 def test_valid_genome_has_no_violations(pool):
     g = build_genome(kinds=("CoT", "Debate", "StepBack"))
-    assert validate(g, pool) == []
+    assert validate(g, pool, 5) == []
 
 
 def test_operator_registry_table(pool):
@@ -66,7 +66,7 @@ def test_operator_registry_table(pool):
         nodes = [str(i) for i in range(len(spec.prompts))]
         assert all(0 <= a < len(nodes) and 0 <= b < len(nodes) for a, b in spec.edges), kind
         assert topological_order(nodes, [(str(a), str(b)) for a, b in spec.edges]) is not None
-        assert validate(build_genome(kinds=(kind,)), pool) == [], kind
+        assert validate(build_genome(kinds=(kind,)), pool, 5) == [], kind
     # init and operator mutation index this tuple with the RNG: its order is
     # part of every trajectory
     assert DEFAULT_OPERATOR_REPO == (
@@ -79,13 +79,13 @@ def test_validate_reports_cycle(pool):
     g = build_genome(kinds=("CoT", "CoT"))
     a, b = g.op_ids
     g = dataclasses.replace(g, inter_edges=((a, b), (b, a)))
-    violations = validate(g, pool)
+    violations = validate(g, pool, 5)
     assert any("cycle" in v for v in violations)
 
 
 def test_validate_reports_tag_count(pool):
     g = build_genome(tags=["only", "four", "tags", "here"])
-    assert any("tag count 4 != 5" in v for v in validate(g, pool))
+    assert any("tag count 4 != 5" in v for v in validate(g, pool, 5))
 
 
 def test_validate_reports_dangling_model(pool):
@@ -94,7 +94,7 @@ def test_validate_reports_dangling_model(pool):
     bad = dataclasses.replace(node, model_id="ghost")
     op = dataclasses.replace(g.operators[0], invoking_nodes=(bad,))
     g = dataclasses.replace(g, operators=(op,))
-    assert any("dangling model_id 'ghost'" in v for v in validate(g, pool))
+    assert any("dangling model_id 'ghost'" in v for v in validate(g, pool, 5))
 
 
 def test_validate_reports_temperature_and_multiple_sinks(pool):
@@ -103,7 +103,7 @@ def test_validate_reports_temperature_and_multiple_sinks(pool):
     hot = dataclasses.replace(node, temperature=1.5)
     op = dataclasses.replace(g.operators[0], invoking_nodes=(hot,))
     g = dataclasses.replace(g, operators=(op, g.operators[1]), inter_edges=())
-    violations = validate(g, pool)
+    violations = validate(g, pool, 5)
     assert any("temperature 1.5" in v for v in violations)
     assert any("one sink" in v for v in violations)
 
@@ -113,26 +113,47 @@ def test_validate_reports_arity_mismatch(pool):
     op = g.operators[0]
     op = dataclasses.replace(op, invoking_nodes=op.invoking_nodes[:3], intra_edges=())
     g = dataclasses.replace(g, operators=(op,))
-    assert any("needs 4 nodes, has 3" in v for v in validate(g, pool))
+    assert any("needs 4 nodes, has 3" in v for v in validate(g, pool, 5))
+
+
+@pytest.mark.parametrize("params, problem", [
+    ({"samples": "abc"}, "param 'samples' is 'abc', not an integer >= 1"),
+    ({"samples": 0}, "param 'samples' is 0, not an integer >= 1"),
+    ({"samples": True}, "param 'samples' is True, not an integer >= 1"),
+    ({"samples": 2.0}, "param 'samples' is 2.0, not an integer >= 1"),
+    ({"rounds": 2}, "kind SelfConsistency has no param 'rounds'"),
+])
+def test_validate_reports_bad_operator_params(pool, params, problem):
+    g = build_genome(kinds=("SelfConsistency",))
+    op = dataclasses.replace(g.operators[0], params=params)
+    g = dataclasses.replace(g, operators=(op,))
+    assert validate(g, pool, 5) == [f"operator 'op0': {problem}"]
+
+
+def test_validate_accepts_params_left_out_or_set_to_a_positive_integer(pool):
+    g = build_genome(kinds=("SelfConsistency", "Debate"))
+    ops = (dataclasses.replace(g.operators[0], params={}),
+           dataclasses.replace(g.operators[1], params={"rounds": 1}))
+    assert validate(dataclasses.replace(g, operators=ops), pool, 5) == []
 
 
 def test_validate_reports_stats_violations(pool):
     g = build_genome(stats=RunStats(exec_count=0, mean_cost=1.0, mean_perf=0.0))
-    assert any("zero means" in v for v in validate(g, pool))
+    assert any("zero means" in v for v in validate(g, pool, 5))
     g2 = build_genome(stats=RunStats(exec_count=2, mean_cost=1.0, mean_perf=1.5))
-    assert any("mean_perf" in v for v in validate(g2, pool))
+    assert any("mean_perf" in v for v in validate(g2, pool, 5))
 
 
 def test_validate_empty_genome(pool):
     g = WorkflowGenome(workflow_id="w", operators=())
-    assert validate(g, pool) == ["no operators"]
+    assert validate(g, pool, 5) == ["no operators"]
 
 
 def test_violations_are_deterministic(pool):
     g = build_genome(kinds=("CoT", "CoT"), tags=["a"])
     a, b = g.op_ids
     g = dataclasses.replace(g, inter_edges=((a, b), (b, a)))
-    assert validate(g, pool) == validate(g, pool)
+    assert validate(g, pool, 5) == validate(g, pool, 5)
 
 
 def test_topological_order_lexicographic_tiebreak():
@@ -219,4 +240,4 @@ def test_round_trip_property(kinds, model, stats):
     g = build_genome(kinds=tuple(kinds), model=model, stats=RunStats(*stats))
     assert deserialize(serialize(g)) == g
     assert serialize(deserialize(serialize(g))) == serialize(g)
-    assert validate(g, ModelPool(MODEL_SPECS)) == []
+    assert validate(g, ModelPool(MODEL_SPECS), 5) == []

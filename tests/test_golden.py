@@ -18,7 +18,6 @@ from nicheflow.cli import main
 from nicheflow.embedding import HashingEmbedder
 from nicheflow.evolution import EvolutionConfig, EvolveDeps, evolve_step, init_population
 from nicheflow.genome import ModelPool, serialize
-from nicheflow.memory import LlmExperiencePool, WorkflowExperiencePool
 from nicheflow.provider import SimulatedProvider, parse_task_envelope
 from nicheflow.templates import DEFAULT_OPERATOR_REPO
 
@@ -61,10 +60,7 @@ def test_llm_route_run_is_pinned():
     pool = ModelPool(MODEL_SPECS)
     provider = SimulatedProvider(SIM_PROFILES, seed=seed)
     embedder = HashingEmbedder(dim=64)
-    deps = EvolveDeps(
-        cfg=cfg, pool=pool, provider=provider, embedder=embedder,
-        llm_pool=LlmExperiencePool(), wf_pool=WorkflowExperiencePool(),
-    )
+    deps = EvolveDeps(cfg=cfg, pool=pool, provider=provider, embedder=embedder)
     domains = [DomainSpec("easy", 0.2), DomainSpec("hard", 0.8)]
     tasks = interleave_tasks(generate_suite(domains, 20, seed=seed))
     pop = init_population(cfg, DEFAULT_OPERATOR_REPO, pool, embedder,
@@ -85,8 +81,7 @@ def test_llm_route_run_keeps_its_bytes_with_members_in_flight():
     seed, steps = 3, 16
     provider = InFlightProvider(SimulatedProvider(SIM_PROFILES, seed=seed))
     pop, deps, tasks = library_setup(
-        EvolutionConfig(llm_evolution=True), provider, seed,
-        llm_pool=LlmExperiencePool(), wf_pool=WorkflowExperiencePool(),
+        EvolutionConfig(llm_evolution=True), provider, seed
     )
     reports = []
     for step in range(steps):
@@ -110,8 +105,7 @@ def test_llm_route_run_asks_the_cheapest_model():
     seed, steps = 3, 16
     provider = RecordingProvider(SimulatedProvider(SIM_PROFILES, seed=seed))
     pop, deps, tasks = library_setup(
-        EvolutionConfig(llm_evolution=True), provider, seed,
-        llm_pool=LlmExperiencePool(), wf_pool=WorkflowExperiencePool(),
+        EvolutionConfig(llm_evolution=True), provider, seed
     )
     for step in range(steps):
         pop, _ = evolve_step(pop, tasks[step % len(tasks)], deps,

@@ -215,8 +215,7 @@ def test_live_pools_equal_the_fold_of_the_step_log_and_a_recount_at_every_step(t
     seed = 1
     pop, deps, tasks = library_setup(
         EvolutionConfig(population_size=8, parents_k=2, niche_size=3),
-        SimulatedProvider(SIM_PROFILES, seed=seed), seed,
-        llm_pool=LlmExperiencePool(), wf_pool=WorkflowExperiencePool(),
+        SimulatedProvider(SIM_PROFILES, seed=seed), seed
     )
     reports = []
     for step in range(200):
@@ -239,8 +238,7 @@ def test_prompt_rewrite_history_is_found_for_every_offspring_whose_first_parent_
     seed = 3
     provider = RecordingProvider(SimulatedProvider(SIM_PROFILES, seed=seed))
     pop, deps, tasks = library_setup(
-        EvolutionConfig(llm_evolution=True), provider, seed,
-        llm_pool=LlmExperiencePool(), wf_pool=WorkflowExperiencePool(),
+        EvolutionConfig(llm_evolution=True), provider, seed
     )
     first_parents = []
     select_parents = evolution.select_parents
