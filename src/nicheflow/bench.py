@@ -30,7 +30,7 @@ class DomainSpec:
 class SyntheticSuite:
     domains: list[DomainSpec]
     tasks: list[TaskQuery]
-    seed: int = 0
+    seed: int
 
 
 def _random_expression(rng: np.random.Generator, depth: int) -> str:

@@ -23,8 +23,8 @@ from .evolution import EvolveDeps, Population, evolve_step, infer, init_populati
 from .executor import TaskQuery, evaluate
 from .genome import validate
 from .memory import fold_report
+from .operators import DEFAULT_OPERATOR_REPO
 from .snapshot import RunLock, append_step_report, load_population, repair_step_log, save_population
-from .templates import DEFAULT_OPERATOR_REPO
 
 
 def _step_rng(seed: int, step: int) -> np.random.Generator:

@@ -22,7 +22,7 @@ from .provider import HttpProvider, SimModelProfile, SimulatedProvider
 DEFAULT_API_KEY_ENV = "EVOFLOW_API_KEY"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     models: list[ModelSpec]
     sim_profiles: list[SimModelProfile]
@@ -38,17 +38,38 @@ class RunConfig:
     checkpoint_interval: int = 10
     config_hash: str = ""
 
+    def __post_init__(self) -> None:
+        if not self.models:
+            raise ConfigError("config needs at least one model")
+        try:
+            self.model_pool()  # the pool's invariants: unique ids, prices >= 0
+        except InvalidInput as e:
+            raise ConfigError(str(e)) from e
+        if self.backend not in ("simulated", "http"):
+            raise ConfigError(f"unknown backend {self.backend!r}")
+        if self.checkpoint_interval < 1:
+            raise ConfigError("checkpoint_interval must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.embedding_dim < 2:
+            raise ConfigError("embedding_dim must be >= 2")
+        if not self.domains:
+            raise ConfigError("domains must be nonempty")
+        labels = [d.label for d in self.domains]
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"label must be unique across domains, got {labels}")
+        if self.tasks_per_domain < 1:
+            raise ConfigError("tasks_per_domain must be >= 1")
+
     def model_pool(self) -> ModelPool:
         return ModelPool(self.models)
 
     def make_provider(self):
         if self.backend == "simulated":
             return SimulatedProvider(self.sim_profiles, seed=self.seed)
-        if self.backend == "http":
-            if not self.endpoint:
-                raise ConfigError("http backend requires an endpoint")
-            return HttpProvider(self.endpoint, api_key=os.environ.get(self.api_key_env, ""))
-        raise ConfigError(f"unknown backend {self.backend!r}")
+        if not self.endpoint:
+            raise ConfigError("http backend requires an endpoint")
+        return HttpProvider(self.endpoint, api_key=os.environ.get(self.api_key_env, ""))
 
     def make_embedder(self):
         return HashingEmbedder(dim=self.embedding_dim)
@@ -159,7 +180,7 @@ _CONFIG_KEYS = {
 
 def parse_config(doc: dict, run_dir_override: Optional[str] = None) -> RunConfig:
     """A run config from its JSON document; an unknown key at any level, like
-    a missing or mistyped one, is a config error."""
+    a missing or mistyped one or a value out of range, is a config error."""
     values = _fields(doc, "config key", _CONFIG_KEYS)
     models = values.pop("models", [])
     values.update(values.pop("suite", {}))
@@ -167,38 +188,12 @@ def parse_config(doc: dict, run_dir_override: Optional[str] = None) -> RunConfig
         values["evolution"] = values.pop("hyperparameters")
     if run_dir_override:
         values["run_dir"] = Path(run_dir_override)
-    try:
-        cfg = RunConfig(
-            models=[spec for spec, _ in models],
-            sim_profiles=[profile for _, profile in models],
-            config_hash=_config_hash(doc),
-            **values,
-        )
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad config: {e}") from e
-    if not cfg.models:
-        raise ConfigError("config needs at least one model")
-    cfg.evolution.check()
-    try:
-        cfg.model_pool()  # the pool's invariants: unique ids, prices >= 0
-    except InvalidInput as e:
-        raise ConfigError(str(e)) from e
-    if cfg.backend not in ("simulated", "http"):
-        raise ConfigError(f"unknown backend {cfg.backend!r}")
-    if cfg.checkpoint_interval < 1:
-        raise ConfigError("checkpoint_interval must be >= 1")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be >= 0")
-    if cfg.embedding_dim < 2:
-        raise ConfigError("embedding_dim must be >= 2")
-    if not cfg.domains:
-        raise ConfigError("domains must be nonempty")
-    labels = [d.label for d in cfg.domains]
-    if len(set(labels)) != len(labels):
-        raise ConfigError(f"label must be unique across domains, got {labels}")
-    if cfg.tasks_per_domain < 1:
-        raise ConfigError("tasks_per_domain must be >= 1")
-    return cfg
+    return RunConfig(
+        models=[spec for spec, _ in models],
+        sim_profiles=[profile for _, profile in models],
+        config_hash=_config_hash(doc),
+        **values,
+    )
 
 
 def load_config(path, run_dir_override: Optional[str] = None) -> RunConfig:

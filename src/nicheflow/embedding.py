@@ -15,7 +15,6 @@ import numpy as np
 from .errors import InvalidInput, InvalidState
 from .genome import ModelPool, WorkflowGenome, serialize
 from .provider import Evolver
-from .templates import TAG_GENERATION_PROMPT
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -111,6 +110,22 @@ def tag_profile(genome: WorkflowGenome, embedder: HashingEmbedder) -> np.ndarray
 
 
 # --- tag generation ----------------------------------------------------------
+
+TAG_GENERATION_PROMPT = """You summarize agentic workflows for retrieval.
+
+Workflow name: {NAME}
+Stages: {DESCRIPTION}
+Definition:
+{CODE}
+
+A task this workflow handled:
+{TASK}
+
+Reply with exactly {KAPPA} short tags, comma separated, on a single line, and
+nothing else. Tags should name the problem domains and the difficulty level
+this workflow is suited for. Avoid generic tags.
+"""
+
 
 def _parse_tag_reply(reply: str, kappa: int) -> Optional[list[str]]:
     line = reply.strip().splitlines()[-1] if reply.strip() else ""

@@ -14,33 +14,25 @@ import numpy as np
 
 from . import embedding as emb
 from .errors import BudgetExceeded, ConfigError, InvalidState
-from .executor import DEFAULT_CALL_BUDGET, TaskQuery, evaluate, execute
+from .executor import TaskQuery, evaluate, execute
 from .genome import (
     InvokingNode,
     ModelPool,
     OperatorNode,
     RunStats,
     WorkflowGenome,
+    build_operator,
     from_document,
     fresh_workflow_id,
     serialize,
     validate,
 )
 from .memory import LlmExperiencePool, WorkflowExperiencePool, fold_report
-from .operators import topological_order
+from .operators import DEFAULT_OPERATOR_REPO, OPERATORS, topological_order
 from .provider import Evolver, SimulatedProvider
-from .templates import (
-    CROSSOVER_PROMPT,
-    DEFAULT_OPERATOR_REPO,
-    LLM_MUTATION_PROMPT,
-    PROMPT_EDITS,
-    PROMPT_MUTATION_PROMPT,
-    build_operator,
-    template_node_count,
-)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvolutionConfig:
     population_size: int = 15  # N
     parents_k: int = 3  # K
@@ -50,12 +42,12 @@ class EvolutionConfig:
     rho_llm: float = 0.3
     rho_prompt: float = 0.3
     m_max: int = 4
-    call_budget: int = DEFAULT_CALL_BUDGET
+    call_budget: int = 64
     skip_edge_prob: float = 0.25
     llm_evolution: bool = False
     evolver_model: Optional[str] = None
 
-    def check(self) -> None:
+    def __post_init__(self) -> None:
         if self.population_size < 2:
             raise ConfigError("population size must be >= 2")
         if not (1 <= self.parents_k <= self.population_size):
@@ -191,8 +183,7 @@ def _random_operator(repo: Sequence[str], pool: ModelPool, op_id: str, rng) -> O
     """A uniform kind from ``repo``, then a uniform pool model per template node."""
     kind = repo[int(rng.integers(len(repo)))]
     model_ids = pool.model_ids
-    n_nodes = template_node_count(kind)
-    chosen = [model_ids[int(rng.integers(len(model_ids)))] for _ in range(n_nodes)]
+    chosen = [model_ids[int(rng.integers(len(model_ids)))] for _ in OPERATORS[kind].prompts]
     return build_operator(kind, op_id, chosen)
 
 
@@ -203,12 +194,12 @@ def init_population(
     embedder,
     rng: np.random.Generator,
     provider=None,
-    seed: int = 0,
+    *,
+    seed: int,
 ) -> Population:
     """Sample N genomes: uniform operator templates, uniform model choices,
     chain wiring plus optional skip edges, then tag every genome. ``embedder``
     is unused: tag vectors are embedded when a tag is scored."""
-    cfg.check()
     if not operator_repo:
         raise ConfigError("operator repository must be nonempty")
     if len(pool) == 0:
@@ -256,6 +247,20 @@ def _extract_json_document(reply: str) -> dict:
     if start < 0 or end <= start:
         raise ValueError("no JSON object in reply")
     return json.loads(reply[start : end + 1])
+
+
+CROSSOVER_PROMPT = """You design multi-agent workflows as JSON documents.
+
+Task to target:
+{QUERY}
+
+Reference workflows (parents):
+{PARENTS}
+
+Combine the strongest parts of the parents into one new workflow that is
+accurate and cheap to run. Reply with a single JSON workflow document using
+the same schema as the parents, and nothing else.
+"""
 
 
 def _llm_offspring_structure(
@@ -396,6 +401,17 @@ def mutate_llm(
     return _edit_nodes(genome, rng, rho, swap)
 
 
+LLM_MUTATION_PROMPT = """You pick a model backbone for one agent node.
+
+Available models: {MODELS}
+Recent per-model outcomes in domain {DOMAIN}:
+{HISTORY}
+
+Current model: {CURRENT}
+Reply with just the model id to use instead (or the current one to keep it).
+"""
+
+
 def _llm_pick_model(node, llm_pool, pool, domain, evolver: Evolver) -> Optional[str]:
     history = []
     for m in pool.model_ids:
@@ -414,6 +430,26 @@ def _llm_pick_model(node, llm_pool, pool, domain, evolver: Evolver) -> Optional[
 
     return evolver.ask(prompt, parse)
 
+
+PROMPT_MUTATION_PROMPT = """You improve a single agent prompt.
+
+Recent outcomes for this workflow:
+{HISTORY}
+
+Current prompt:
+{PROMPT}
+
+Rewrite the prompt to be clearer or add brief guidance. Keep every
+{{placeholder}} that appears in the original. Reply with the new prompt only.
+"""
+
+# Deterministic prompt-mutation edits; each preserves existing placeholders
+# because it only appends or prepends text.
+PROMPT_EDITS = (
+    lambda p: p + "\nWork through the problem step by step before answering.",
+    lambda p: p + "\nState the final answer on its own last line.",
+    lambda p: "You are a meticulous domain expert.\n" + p,
+)
 
 _PLACEHOLDER_CHECK = re.compile(r"\{([a-zA-Z_][a-zA-Z0-9_]*)\}")
 
@@ -706,7 +742,6 @@ def evolve_step(
     step's report is folded into the experience pools last, so a step that
     raises leaves them as they were."""
     cfg = deps.cfg
-    cfg.check()
     evolver = make_evolver(cfg, deps.provider, deps.pool)
     query_vec = deps.embedder.embed(query.text)
 

@@ -12,8 +12,6 @@ from .genome import ModelPool, WorkflowGenome
 from .operators import extract_number, parse_number, run_dag, run_operator
 from .provider import ChatRequest, ChatResponse, call_cost
 
-DEFAULT_CALL_BUDGET = 64
-
 
 @dataclass(frozen=True)
 class TaskQuery:
@@ -76,8 +74,8 @@ def execute(
     query: TaskQuery,
     provider,
     pool: ModelPool,
-    call_budget: int = DEFAULT_CALL_BUDGET,
     *,
+    call_budget: int,
     traces: Optional[dict] = None,
 ) -> ExecutionTrace:
     """Run every operator once in a topological order, threading each

@@ -1,5 +1,6 @@
-"""Workflow genome data model: invoking nodes, operator nodes, the workflow DAG,
-validation, and canonical serialization.
+"""Workflow genome data model: invoking nodes, operator nodes and their
+instantiation from the operator registry, the workflow DAG, validation, and
+canonical serialization.
 
 Genomes are immutable values; every evolutionary operation produces a new
 genome rather than editing in place.
@@ -12,7 +13,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from . import canonical
 from .errors import GenomeParseError, InvalidInput
-from .operators import OPERATORS, arity_violation, topological_order
+from .operators import OPERATORS, operator_violations, topological_order
 
 SCHEMA_VERSION = 1
 
@@ -87,6 +88,20 @@ class OperatorNode:
         raise InvalidInput(f"operator {self.op_id!r} has no node {node_id!r}")
 
 
+def build_operator(kind: str, op_id: str, model_ids: list[str]) -> OperatorNode:
+    """An operator of a registered kind with its default prompts, wiring and
+    params, and one model id per node."""
+    spec = OPERATORS[kind]
+    if len(model_ids) != len(spec.prompts):
+        raise ValueError(f"kind {kind} needs {len(spec.prompts)} model ids, got {len(model_ids)}")
+    nodes = tuple(
+        InvokingNode(node_id=f"{op_id}.n{i}", model_id=model_id, prompt=prompt)
+        for i, (model_id, prompt) in enumerate(zip(model_ids, spec.prompts))
+    )
+    edges = tuple((nodes[a].node_id, nodes[b].node_id) for a, b in spec.edges)
+    return OperatorNode(op_id, kind, nodes, edges, dict(spec.params))
+
+
 @dataclass(frozen=True)
 class RunStats:
     exec_count: int = 0
@@ -145,18 +160,8 @@ def validate(genome: WorkflowGenome, pool: ModelPool, kappa: int) -> list[str]:
 
     all_node_ids: set[str] = set()
     for op in genome.operators:
-        if op.kind not in OPERATORS:
-            v.append(f"operator {op.op_id!r}: unknown kind {op.kind!r}")
-            continue
-        problem = arity_violation(op)
-        if problem is not None:
-            v.append(problem)
-        for name, value in op.params.items():
-            if name not in OPERATORS[op.kind].params:
-                v.append(f"operator {op.op_id!r}: kind {op.kind} has no param {name!r}")
-            elif isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                v.append(f"operator {op.op_id!r}: param {name!r} is {value!r}, not an integer >= 1")
-        if not op.invoking_nodes:
+        v.extend(operator_violations(op))
+        if op.kind not in OPERATORS or not op.invoking_nodes:
             continue
         node_ids = [n.node_id for n in op.invoking_nodes]
         for nid in node_ids:

@@ -2,10 +2,11 @@
 
 Each kind (CoT, Debate, ...) has one ``OperatorSpec`` holding its default node
 prompts, default intra-operator wiring, default params, the runner that gives
-it its semantics over a model provider, and its nominal call count. Genome
-validation, operator templates, execution and complexity tiers all read this
-table, so the module sits below them and imports nothing else from the
-package but its errors. ``run_dag`` is the one walk that runs a DAG: the
+it its semantics over a model provider, and its nominal call count, and
+``operator_violations`` is the one check of an operator against its kind.
+Genome validation, operator instantiation, execution and complexity tiers all
+read this table, so the module sits below them and imports nothing else from
+the package but its errors. ``run_dag`` is the one walk that runs a DAG: the
 executor's over a workflow's operators, the Custom runner's over its nodes.
 """
 
@@ -175,7 +176,7 @@ def safe_arithmetic_eval(expression: str):
 
 def _param(op, name: str) -> int:
     """The operator's own value of a param, else its kind's default."""
-    return int(op.params.get(name, OPERATORS[op.kind].params[name]))
+    return op.params.get(name, OPERATORS[op.kind].params[name])
 
 
 def _ask(caller, op, node, **values) -> str:
@@ -420,24 +421,38 @@ OPERATORS: dict[str, OperatorSpec] = {
 }
 
 
-def arity_violation(op) -> Optional[str]:
-    """How ``op`` breaks its kind's node count, or None; the kind must be
-    registered."""
+# The kinds that initialization and operator mutation draw from, in registry
+# order; both index this tuple with the RNG.
+DEFAULT_OPERATOR_REPO: tuple[str, ...] = tuple(
+    kind for kind, spec in OPERATORS.items() if not spec.variable
+)
+
+
+def operator_violations(op) -> list[str]:
+    """How ``op`` breaks its kind's rules: an unknown kind (alone), no nodes
+    or a node count the kind does not take, and each param the kind does not
+    have or whose value is not an integer >= 1 (a bool is not one)."""
+    spec = OPERATORS.get(op.kind)
+    if spec is None:
+        return [f"operator {op.op_id!r}: unknown kind {op.kind!r}"]
+    v = []
     n = len(op.invoking_nodes)
     if n == 0:
-        return f"operator {op.op_id!r}: no invoking nodes"
-    arity = OPERATORS[op.kind].arity
-    if arity is not None and n != arity:
-        return f"operator {op.op_id!r}: kind {op.kind} needs {arity} nodes, has {n}"
-    return None
+        v.append(f"operator {op.op_id!r}: no invoking nodes")
+    elif spec.arity is not None and n != spec.arity:
+        v.append(f"operator {op.op_id!r}: kind {op.kind} needs {spec.arity} nodes, has {n}")
+    for name, value in op.params.items():
+        if name not in spec.params:
+            v.append(f"operator {op.op_id!r}: kind {op.kind} has no param {name!r}")
+        elif isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            v.append(f"operator {op.op_id!r}: param {name!r} is {value!r}, not an integer >= 1")
+    return v
 
 
 def run_operator(op, task: str, context: str, caller) -> str:
-    """Run one operator through its kind's runner."""
-    spec = OPERATORS.get(op.kind)
-    if spec is None:
-        raise StructureError(f"unknown operator kind {op.kind!r}")
-    problem = arity_violation(op)
-    if problem is not None:
-        raise StructureError(problem)
-    return spec.runner(op, task, context, caller)
+    """Run one operator through its kind's runner; an operator that breaks
+    its kind's rules is a ``StructureError`` naming its first violation."""
+    problems = operator_violations(op)
+    if problems:
+        raise StructureError(problems[0])
+    return OPERATORS[op.kind].runner(op, task, context, caller)

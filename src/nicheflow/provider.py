@@ -218,6 +218,12 @@ def _wrong_answer(gold: str) -> str:
 
 # --- HTTP backend ------------------------------------------------------------
 
+# A request is tried up to MAX_ATTEMPTS times; after failed attempt k
+# (counting from 0) the provider sleeps BACKOFF_BASE * 2**k seconds.
+MAX_ATTEMPTS = 3
+BACKOFF_BASE = 0.5
+
+
 class HttpProvider:
     """Chat-completion style HTTP client with bounded exponential backoff.
 
@@ -230,8 +236,6 @@ class HttpProvider:
         endpoint: str,
         api_key: str = "",
         session=None,
-        max_attempts: int = 3,
-        backoff_base: float = 0.5,
         sleep=time.sleep,
     ):
         if session is None:
@@ -241,8 +245,6 @@ class HttpProvider:
         self.endpoint = endpoint
         self.api_key = api_key
         self.session = session
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
         self.sleep = sleep
 
     def chat(self, req: ChatRequest) -> ChatResponse:
@@ -255,7 +257,7 @@ class HttpProvider:
             "temperature": req.temperature,
         }
         last: Exception | None = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             try:
                 resp = self.session.post(
                     self.endpoint, json=body, headers=headers, timeout=120
@@ -270,10 +272,10 @@ class HttpProvider:
                 )
             except Exception as e:  # noqa: BLE001 - transport errors are retried
                 last = e
-                if attempt + 1 < self.max_attempts:
-                    self.sleep(self.backoff_base * (2**attempt))
+                if attempt + 1 < MAX_ATTEMPTS:
+                    self.sleep(BACKOFF_BASE * (2**attempt))
         raise ProviderError(
-            f"chat request failed after {self.max_attempts} attempts",
-            attempts=self.max_attempts,
+            f"chat request failed after {MAX_ATTEMPTS} attempts",
+            attempts=MAX_ATTEMPTS,
             last_error=last,
         )

@@ -13,10 +13,11 @@ from nicheflow.genome import (
     ModelSpec,
     RunStats,
     WorkflowGenome,
+    build_operator,
     fresh_workflow_id,
 )
+from nicheflow.operators import DEFAULT_OPERATOR_REPO, OPERATORS
 from nicheflow.provider import ChatResponse, SimModelProfile, SimulatedProvider
-from nicheflow.templates import DEFAULT_OPERATOR_REPO, build_operator
 
 
 MODEL_SPECS = [
@@ -51,10 +52,8 @@ def embedder():
 
 def build_genome(kinds=("CoT",), model="tiny", tags=None, stats=None, wid=None, kappa=5):
     """Small chain genome with default templates, one model everywhere."""
-    from nicheflow.templates import template_node_count
-
     ops = [
-        build_operator(kind, f"op{i}", [model] * template_node_count(kind))
+        build_operator(kind, f"op{i}", [model] * len(OPERATORS[kind].prompts))
         for i, kind in enumerate(kinds)
     ]
     edges = tuple((ops[i].op_id, ops[i + 1].op_id) for i in range(len(ops) - 1))

@@ -359,7 +359,8 @@ def test_criterion_7_diversity_retention(evolution_runs):
 def test_criterion_8_executor_call_counts_and_metering(pool, sim_provider):
     from nicheflow.executor import _Caller, run_operator
     from nicheflow.provider import call_cost, ChatRequest
-    from nicheflow.templates import build_operator, template_node_count
+    from nicheflow.genome import build_operator
+    from nicheflow.operators import OPERATORS
 
     expected_calls = {
         "CoT": 1,
@@ -371,7 +372,7 @@ def test_criterion_8_executor_call_counts_and_metering(pool, sim_provider):
     }
     observed = {}
     for kind, want in expected_calls.items():
-        op = build_operator(kind, "op0", ["mid"] * template_node_count(kind))
+        op = build_operator(kind, "op0", ["mid"] * len(OPERATORS[kind].prompts))
         caller = _Caller(sim_provider, pool, budget=64)
         run_operator(op, "Compute 3 + 4.", "", caller)
         observed[kind] = caller.count

@@ -287,7 +287,7 @@ def test_snapshot_round_trip(tmp_path, pool, embedder):
     import numpy as np
 
     from nicheflow.evolution import EvolutionConfig, init_population
-    from nicheflow.templates import DEFAULT_OPERATOR_REPO
+    from nicheflow.operators import DEFAULT_OPERATOR_REPO
 
     pop = init_population(EvolutionConfig(population_size=5), DEFAULT_OPERATOR_REPO,
                           pool, embedder, np.random.default_rng([1, 0]), seed=1)
@@ -308,7 +308,7 @@ def test_snapshot_survives_a_save_that_fails_to_install(tmp_path, pool, embedder
     import numpy as np
 
     from nicheflow.evolution import init_population
-    from nicheflow.templates import DEFAULT_OPERATOR_REPO
+    from nicheflow.operators import DEFAULT_OPERATOR_REPO
 
     pop = init_population(EvolutionConfig(population_size=5), DEFAULT_OPERATOR_REPO,
                           pool, embedder, np.random.default_rng([1, 0]), seed=1)
@@ -879,6 +879,26 @@ def test_cli_evolve_refuses_a_member_with_a_param_that_is_no_integer(tmp_path, c
     assert "storage error" in err and member.stem in err
     assert f"param {name!r} is 'abc'" in err
     assert not (run_dir / "steps.jsonl").exists()
+
+
+def test_cli_infer_refuses_to_serve_a_member_that_breaks_its_kinds_rules(tmp_path, capsys):
+    path, run_dir = _write_config(tmp_path)
+    run = ["--config", str(path)]
+    assert main(run + ["init"]) == 0
+    query = ["infer", "--query", "Compute 17 * 3 + 4."]
+    assert main(run + query) == 0
+    served = json.loads(capsys.readouterr().out.splitlines()[-1])["workflow_id"]
+    member = run_dir / "population" / f"{served}.json"
+    doc = json.loads(member.read_text())
+    broken = [(op["op_id"], name) for op in doc["operators"] for name in op["params"]]
+    assert broken, "the served member needs an operator with a param"
+    for op in doc["operators"]:
+        op["params"] = dict.fromkeys(op["params"], 0)
+    member.write_text(json.dumps(doc))
+    assert main(run + query) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert any(f"operator {oid!r}: param {name!r} is 0" in err for oid, name in broken)
 
 
 @pytest.mark.parametrize("command", [["front"], ["infer", "--query", "Compute 2 + 2."],

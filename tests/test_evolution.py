@@ -43,7 +43,7 @@ from nicheflow.genome import (
 )
 from nicheflow.memory import LlmExperiencePool, WorkflowExperiencePool
 from nicheflow.provider import Evolver, make_task_envelope, parse_task_envelope
-from nicheflow.templates import DEFAULT_OPERATOR_REPO
+from nicheflow.operators import DEFAULT_OPERATOR_REPO
 
 from conftest import (
     MODEL_SPECS,
@@ -156,9 +156,8 @@ def test_config_defaults_match_reference_hyperparameters():
     ("m_max", 0),
 ])
 def test_config_check_rejects_bad_values(field, value):
-    cfg = dataclasses.replace(EvolutionConfig(), **{field: value})
     with pytest.raises(ConfigError):
-        cfg.check()
+        dataclasses.replace(EvolutionConfig(), **{field: value})
 
 
 # --- initialization ------------------------------------------------------------------
@@ -166,9 +165,9 @@ def test_config_check_rejects_bad_values(field, value):
 def test_init_population_is_valid_and_reproducible(pool, embedder):
     cfg = EvolutionConfig(population_size=10)
     p1 = init_population(cfg, DEFAULT_OPERATOR_REPO, pool, embedder,
-                         np.random.default_rng([3, 0]))
+                         np.random.default_rng([3, 0]), seed=3)
     p2 = init_population(cfg, DEFAULT_OPERATOR_REPO, pool, embedder,
-                         np.random.default_rng([3, 0]))
+                         np.random.default_rng([3, 0]), seed=3)
     assert len(p1.members) == 10
     assert [serialize(m) for m in p1.members] == [serialize(m) for m in p2.members]
     for m in p1.members:
@@ -181,20 +180,20 @@ def test_init_population_is_valid_and_reproducible(pool, embedder):
 def test_init_population_covers_the_model_pool(pool, embedder):
     cfg = EvolutionConfig(population_size=40)
     p = init_population(cfg, DEFAULT_OPERATOR_REPO, pool, embedder,
-                        np.random.default_rng([9, 0]))
+                        np.random.default_rng([9, 0]), seed=9)
     used = {n.model_id for m in p.members for op in m.operators for n in op.invoking_nodes}
     assert used == set(pool.model_ids)
 
 
 def test_init_population_single_template_repo(pool, embedder):
     p = init_population(EvolutionConfig(population_size=5), ["CoT"], pool, embedder,
-                        np.random.default_rng([1, 0]))
+                        np.random.default_rng([1, 0]), seed=1)
     assert all(op.kind == "CoT" for m in p.members for op in m.operators)
 
 
 def test_init_population_rejects_empty_inputs(pool, embedder):
     with pytest.raises(ConfigError):
-        init_population(EvolutionConfig(), [], pool, embedder, np.random.default_rng(0))
+        init_population(EvolutionConfig(), [], pool, embedder, np.random.default_rng(0), seed=0)
 
 
 # --- parent retrieval ------------------------------------------------------------------
@@ -419,7 +418,7 @@ def test_mutate_prompt_accepts_llm_edit_that_keeps_placeholders(pool):
 def test_mutate_operator_results_always_validate(pool, embedder):
     cfg = EvolutionConfig(population_size=8)
     pop = init_population(cfg, DEFAULT_OPERATOR_REPO, pool, embedder,
-                          np.random.default_rng([4, 0]))
+                          np.random.default_rng([4, 0]), seed=4)
     rng = np.random.default_rng(42)
     for _ in range(300):
         g = pop.members[int(rng.integers(len(pop.members)))]
@@ -800,7 +799,7 @@ def _task(i=0, domain="easy", gold="12"):
 def test_evolve_step_preserves_size_and_advances_generation(pool, sim_provider, embedder):
     deps = _make_deps(pool, sim_provider, embedder)
     pop = init_population(deps.cfg, DEFAULT_OPERATOR_REPO, pool, embedder,
-                          np.random.default_rng([21, 0]))
+                          np.random.default_rng([21, 0]), seed=21)
     new_pop, report = evolve_step(pop, _task(), deps, np.random.default_rng([21, 1000]))
     assert len(new_pop.members) == 8
     assert new_pop.generation == 1
@@ -815,7 +814,7 @@ def test_evolve_step_preserves_size_and_advances_generation(pool, sim_provider, 
 def test_evolve_step_leaves_its_input_population_as_it_was(pool, sim_provider, embedder):
     deps = _make_deps(pool, sim_provider, embedder)
     pop = init_population(deps.cfg, DEFAULT_OPERATOR_REPO, pool, embedder,
-                          np.random.default_rng([21, 0]))
+                          np.random.default_rng([21, 0]), seed=21)
     members = list(pop.members)
     new_pop, report = evolve_step(pop, _task(), deps, np.random.default_rng([21, 1000]))
     assert all(a is b for a, b in zip(pop.members, members, strict=True))
@@ -829,7 +828,7 @@ def test_evolve_step_leaves_its_input_population_as_it_was(pool, sim_provider, e
 def test_evolve_step_raises_on_an_invalid_offspring(pool, sim_provider, embedder, monkeypatch):
     deps = _make_deps(pool, sim_provider, embedder)
     pop = init_population(deps.cfg, DEFAULT_OPERATOR_REPO, pool, embedder,
-                          np.random.default_rng([21, 0]))
+                          np.random.default_rng([21, 0]), seed=21)
     monkeypatch.setattr(evolution, "validate", lambda *a, **k: ["patched violation"])
     with pytest.raises(InvalidState, match="patched violation"):
         evolve_step(pop, _task(), deps, np.random.default_rng([21, 1000]))
@@ -843,7 +842,7 @@ def test_evolve_step_is_deterministic(pool, embedder):
     for _ in range(2):
         deps = _make_deps(pool, SimulatedProvider(SIM_PROFILES, seed=7), embedder)
         pop = init_population(deps.cfg, DEFAULT_OPERATOR_REPO, pool, embedder,
-                              np.random.default_rng([5, 0]))
+                              np.random.default_rng([5, 0]), seed=5)
         for step in range(5):
             pop, report = evolve_step(pop, _task(step), deps,
                                       np.random.default_rng([5, 1000 + step]))
@@ -859,7 +858,7 @@ def test_evolve_step_asks_the_configured_evolver_only_when_enabled(
     deps = _make_deps(pool, provider, embedder,
                       llm_evolution=llm_evolution, evolver_model="tiny")
     pop = init_population(deps.cfg, DEFAULT_OPERATOR_REPO, pool, embedder,
-                          np.random.default_rng([25, 0]))
+                          np.random.default_rng([25, 0]), seed=25)
     for step in range(3):
         provider.requests.clear()
         pop, _ = evolve_step(pop, _task(step), deps, np.random.default_rng([25, 1000 + step]))
@@ -901,7 +900,7 @@ def test_make_evolver_defaults_to_the_cheapest_model(sim_provider, specs, evolve
 def test_evolve_step_updates_executed_stats(pool, sim_provider, embedder):
     deps = _make_deps(pool, sim_provider, embedder)
     pop = init_population(deps.cfg, DEFAULT_OPERATOR_REPO, pool, embedder,
-                          np.random.default_rng([22, 0]))
+                          np.random.default_rng([22, 0]), seed=22)
     new_pop, report = evolve_step(pop, _task(), deps, np.random.default_rng([22, 1000]))
     executed = {wid for wid in report.evaluations}
     for m in new_pop.members:
@@ -912,7 +911,7 @@ def test_evolve_step_updates_executed_stats(pool, sim_provider, embedder):
 def test_evolve_step_appends_llm_experiences(pool, sim_provider, embedder):
     deps = _make_deps(pool, sim_provider, embedder)
     pop = init_population(deps.cfg, DEFAULT_OPERATOR_REPO, pool, embedder,
-                          np.random.default_rng([23, 0]))
+                          np.random.default_rng([23, 0]), seed=23)
     evolve_step(pop, _task(), deps, np.random.default_rng([23, 1000]))
     total = sum(
         deps.llm_pool.query_summary(m, "easy").positive_count
@@ -925,7 +924,7 @@ def test_evolve_step_appends_llm_experiences(pool, sim_provider, embedder):
 def test_evolve_step_survives_tight_call_budget(pool, sim_provider, embedder):
     deps = _make_deps(pool, sim_provider, embedder, call_budget=2)
     pop = init_population(deps.cfg, DEFAULT_OPERATOR_REPO, pool, embedder,
-                          np.random.default_rng([24, 0]))
+                          np.random.default_rng([24, 0]), seed=24)
     new_pop, report = evolve_step(pop, _task(), deps, np.random.default_rng([24, 1000]))
     assert len(new_pop.members) == 8
     # genomes that blew the budget were scored zero
@@ -986,7 +985,7 @@ def test_choose_workflow_budget_matches_oracle():
 def test_infer_runs_the_chosen_workflow(pool, sim_provider, embedder):
     cfg = EvolutionConfig(population_size=5)
     pop = init_population(cfg, DEFAULT_OPERATOR_REPO, pool, embedder,
-                          np.random.default_rng([30, 0]))
+                          np.random.default_rng([30, 0]), seed=30)
     genome, trace = infer(pop, _task(), embedder, sim_provider, pool, call_budget=cfg.call_budget)
     assert genome.workflow_id in pop.ids
     assert trace.call_count >= 1

@@ -19,8 +19,9 @@ from nicheflow.executor import (
     execute,
     run_operator,
 )
-from nicheflow.genome import InvokingNode, OperatorNode
+from nicheflow.genome import InvokingNode, OperatorNode, build_operator
 from nicheflow.operators import (
+    OPERATORS,
     SELFREFINE_STOP_MARKER,
     extract_answer_key,
     extract_number,
@@ -28,7 +29,6 @@ from nicheflow.operators import (
     safe_arithmetic_eval,
 )
 from nicheflow.provider import ChatRequest, ChatResponse, call_cost, make_task_envelope
-from nicheflow.templates import build_operator, template_node_count
 
 from conftest import ScriptedProvider, build_genome
 
@@ -41,7 +41,7 @@ def _caller(provider, pool, budget=64):
 
 
 def _run_kind(kind, pool, replies, budget=64, params=None):
-    op = build_operator(kind, "op0", ["tiny"] * template_node_count(kind))
+    op = build_operator(kind, "op0", ["tiny"] * len(OPERATORS[kind].prompts))
     if params:
         op = dataclasses.replace(op, params={**op.params, **params})
     provider = ScriptedProvider(replies)
@@ -188,7 +188,7 @@ def test_custom_node_sees_outer_context_and_its_predecessors(pool):
     g = build_genome(kinds=("CoT", "Custom"))
     g = dataclasses.replace(g, operators=(g.operators[0], custom))
     provider = ScriptedProvider(["upstream", "zero out", "one out", "joined"])
-    trace = execute(g, QUERY, provider, pool)
+    trace = execute(g, QUERY, provider, pool, call_budget=64)
     assert (trace.answer, trace.call_count) == ("joined", 4)
     assert "## Output of op0:\nupstream" in provider.requests[1].messages[0]["content"]
     assert provider.requests[3].messages[0]["content"] == (
@@ -277,7 +277,7 @@ def test_render_prompt_memo_agrees_with_fresh_parsing(prompt, mapping):
 def test_execute_threads_outputs_along_edges(pool):
     g = build_genome(kinds=("CoT", "CoT"))
     provider = ScriptedProvider(["upstream says 41+1", "final 42"])
-    trace = execute(g, QUERY, provider, pool)
+    trace = execute(g, QUERY, provider, pool, call_budget=64)
     assert trace.answer == "final 42"
     assert trace.call_count == 2
     downstream_prompt = provider.requests[1].messages[0]["content"]
@@ -290,7 +290,7 @@ def test_execute_total_cost_is_sum_of_call_costs(pool, sim_provider):
     query = TaskQuery("q", "solve " + make_task_envelope("q", "easy", "5"),
                       domain="easy", gold="5", metric="numeric")
     recording = _Recording(sim_provider)
-    trace = execute(g, query, recording, pool)
+    trace = execute(g, query, recording, pool, call_budget=64)
     probe = ChatRequest(model_id="mid", messages=({"role": "user", "content": "x"},))
     per_call = call_cost(sim_provider.chat(probe), pool.get("mid"))
     assert trace.call_count == len(recording.requests) == 8
@@ -318,8 +318,8 @@ def test_execute_is_deterministic_with_simulated_backend(pool, sim_provider):
     query = TaskQuery("q", "solve " + make_task_envelope("q", "hard", "3"),
                       domain="hard", gold="3", metric="numeric")
     p1, p2 = _Recording(sim_provider), _Recording(sim_provider)
-    t1 = execute(g, query, p1, pool)
-    t2 = execute(g, query, p2, pool)
+    t1 = execute(g, query, p1, pool, call_budget=64)
+    t2 = execute(g, query, p2, pool, call_budget=64)
     assert t1.answer == t2.answer
     assert t1.total_cost == t2.total_cost
     assert t1.call_count == t2.call_count == 5
@@ -336,7 +336,7 @@ def test_execute_digests_each_request_once_and_no_response(pool, sim_provider, m
     g = build_genome(kinds=("Debate", "CoT"), model="mid")
     query = TaskQuery("q", "solve " + make_task_envelope("q", "easy", "5"),
                       domain="easy", gold="5", metric="numeric")
-    trace = execute(g, query, sim_provider, pool)
+    trace = execute(g, query, sim_provider, pool, call_budget=64)
     assert trace.call_count == 8
     # the simulated backend draws each reply from the request digest; nothing else digests
     assert counts == {ChatRequest: trace.call_count, ChatResponse: 0}
@@ -356,10 +356,10 @@ def test_a_memoised_run_replays_the_fresh_trace(pool, sim_provider):
     query = TaskQuery("q", "solve " + make_task_envelope("q", "easy", "5"),
                       domain="easy", gold="5", metric="numeric")
     traces = {}
-    first = execute(g, query, sim_provider, pool, traces=traces)
+    first = execute(g, query, sim_provider, pool, call_budget=64, traces=traces)
     unreachable = ScriptedProvider([], fail_after=0)  # any model call raises
-    replay = execute(g, query, unreachable, pool, traces=traces)
-    assert replay == first == execute(g, query, sim_provider, pool)
+    replay = execute(g, query, unreachable, pool, call_budget=64, traces=traces)
+    assert replay == first == execute(g, query, sim_provider, pool, call_budget=64)
     assert list(traces) == [(g.workflow_id, query.text)]
 
 
@@ -384,7 +384,7 @@ def test_execute_rejects_cyclic_genome(pool):
     a, b = g.op_ids
     g = dataclasses.replace(g, inter_edges=((a, b), (b, a)))
     with pytest.raises(StructureError):
-        execute(g, QUERY, ScriptedProvider(["x"]), pool)
+        execute(g, QUERY, ScriptedProvider(["x"]), pool, call_budget=64)
 
 
 # --- scoring ----------------------------------------------------------------------

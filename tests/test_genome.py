@@ -1,11 +1,13 @@
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nicheflow.canonical import dumps as canonical_dumps
-from nicheflow.errors import GenomeParseError, InvalidInput
+from nicheflow.errors import GenomeParseError, InvalidInput, StructureError
+from nicheflow.executor import _Caller
 from nicheflow.genome import (
     InvokingNode,
     ModelPool,
@@ -22,10 +24,9 @@ from nicheflow.genome import (
     topological_order,
     validate,
 )
-from nicheflow.operators import OPERATORS
-from nicheflow.templates import DEFAULT_OPERATOR_REPO
+from nicheflow.operators import DEFAULT_OPERATOR_REPO, OPERATORS, run_operator
 
-from conftest import MODEL_SPECS, build_genome
+from conftest import MODEL_SPECS, ScriptedProvider, build_genome
 
 
 def test_model_pool_rejects_duplicates_and_bad_prices():
@@ -128,6 +129,11 @@ def test_validate_reports_bad_operator_params(pool, params, problem):
     op = dataclasses.replace(g.operators[0], params=params)
     g = dataclasses.replace(g, operators=(op,))
     assert validate(g, pool, 5) == [f"operator 'op0': {problem}"]
+    # running the operator meets the same check before any model call
+    provider = ScriptedProvider(["x"])
+    with pytest.raises(StructureError, match=re.escape(f"operator 'op0': {problem}")):
+        run_operator(op, "task", "", _Caller(provider, pool, 64))
+    assert provider.requests == []
 
 
 def test_validate_accepts_params_left_out_or_set_to_a_positive_integer(pool):

@@ -19,7 +19,7 @@ from nicheflow.embedding import HashingEmbedder
 from nicheflow.evolution import EvolutionConfig, EvolveDeps, evolve_step, init_population
 from nicheflow.genome import ModelPool, serialize
 from nicheflow.provider import SimulatedProvider, parse_task_envelope
-from nicheflow.templates import DEFAULT_OPERATOR_REPO
+from nicheflow.operators import DEFAULT_OPERATOR_REPO
 
 from conftest import (
     MODEL_SPECS,

@@ -6,7 +6,7 @@ import pytest
 
 from nicheflow import evolution
 from nicheflow.errors import StorageError
-from nicheflow.evolution import EvolutionConfig, evolve_step
+from nicheflow.evolution import PROMPT_MUTATION_PROMPT, EvolutionConfig, evolve_step
 from nicheflow.memory import (
     ExperienceSummary,
     LlmExperiencePool,
@@ -15,7 +15,6 @@ from nicheflow.memory import (
 )
 from nicheflow.provider import SimulatedProvider
 from nicheflow.snapshot import append_step_report, repair_step_log
-from nicheflow.templates import PROMPT_MUTATION_PROMPT
 
 from conftest import SIM_PROFILES, RecordingProvider, library_setup
 
