@@ -6,7 +6,8 @@ selection, the per-query evolution step, and inference-time retrieval.
 
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
+import weakref
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -705,6 +706,20 @@ class EvolveDeps:
     # only; ``evolve_step`` keeps the entries of the live population alone.
     # The provider, pool and call budget must stay those of the run.
     _traces: dict = field(default_factory=dict, init=False, repr=False)
+    # The run's worker threads on a backend that waits; see ``_worker_pool``.
+    _workers: Optional[ThreadPoolExecutor] = field(default=None, init=False, repr=False)
+
+    def _worker_pool(self) -> ThreadPoolExecutor:
+        """One thread per member a step can execute, E+K+1, made on first
+        use and kept for the run; the threads end when this object is
+        dropped."""
+        if self._workers is None:
+            self._workers = ThreadPoolExecutor(
+                max_workers=self.cfg.niche_size + self.cfg.parents_k + 1,
+                thread_name_prefix="nicheflow-member",
+            )
+            weakref.finalize(self, self._workers.shutdown, wait=False)
+        return self._workers
 
 
 @dataclass
@@ -726,27 +741,17 @@ class StepReport:
         return dict(vars(self))
 
 
-def evolve_step(
+def _breed(
     pop: Population,
+    parents: list[WorkflowGenome],
     query: TaskQuery,
     deps: EvolveDeps,
+    evolver: Optional[Evolver],
     rng: np.random.Generator,
-) -> tuple[Population, StepReport]:
-    """One full evolution iteration on a single query: retrieve parents,
-    breed and mutate an offspring, build the niching pool, execute and update
-    stats, then environmentally select. It returns a new population and
-    leaves ``pop`` as it was. The niche members execute on one
-    thread each unless the provider is a ``SimulatedProvider``. That backend
-    is pure, so a member that already ran the query in this run replays its
-    trace from ``deps``, which keeps only the new population's traces. The
-    step's report is folded into the experience pools last, so a step that
-    raises leaves them as they were."""
+) -> WorkflowGenome:
+    """The step's offspring: crossover, the three mutations, then tags and
+    a fresh id."""
     cfg = deps.cfg
-    evolver = make_evolver(cfg, deps.provider, deps.pool)
-    query_vec = deps.embedder.embed(query.text)
-
-    parents = select_parents(pop.members, query_vec, cfg.parents_k, deps.embedder)
-
     offspring = crossover(
         parents, evolver, cfg, rng, deps.pool, pop.ids, query_text=query.text
     )
@@ -762,8 +767,36 @@ def evolve_step(
     violations = validate(offspring, deps.pool, kappa=cfg.kappa)
     if violations:  # every route keeps valid parents valid
         raise InvalidState(f"offspring {offspring.workflow_id!r} is invalid: {violations}")
+    return offspring
 
-    niche = niching_area(pop, offspring, cfg.niche_size, deps.embedder, parents=parents)
+
+def evolve_step(
+    pop: Population,
+    query: TaskQuery,
+    deps: EvolveDeps,
+    rng: np.random.Generator,
+) -> tuple[Population, StepReport]:
+    """One full evolution iteration on a single query: retrieve parents,
+    breed and mutate an offspring, build the niching pool, execute and update
+    stats, then environmentally select. It returns a new population and
+    leaves ``pop`` as it was.
+
+    Unless the provider is a ``SimulatedProvider``, the niche members run on
+    the worker threads of ``deps``, one each. The K parents' runs depend only
+    on (genome, query), so they start before breeding and overlap its
+    evolver requests; the rest start after niching. The step returns or
+    raises only once every run it started has finished. The simulated
+    backend is pure, so there the members run one after another on the
+    calling thread, and a member that already ran the query in this run
+    replays its trace from ``deps``, which keeps only the new population's
+    traces. Results are taken in workflow-id order either way, and the
+    step's report is folded into the experience pools last, so a step that
+    raises leaves them as they were."""
+    cfg = deps.cfg
+    evolver = make_evolver(cfg, deps.provider, deps.pool)
+    query_vec = deps.embedder.embed(query.text)
+
+    parents = select_parents(pop.members, query_vec, cfg.parents_k, deps.embedder)
 
     # The simulated backend never waits and holds the GIL for each call, so
     # threads would only add switching, and it answers a request the same
@@ -780,14 +813,28 @@ def evolve_step(
             # over-budget genomes score zero but still pay for their calls
             return 0.0, e.partial_cost
 
-    # Results are consumed in id order on this thread, so stats and the
-    # report keep the serial order whichever way the members ran.
-    members = sorted(niche.exec_members, key=lambda g: g.workflow_id)
+    started: dict[str, Future] = {}
+
+    def start(genomes: Sequence[WorkflowGenome]) -> None:
+        if not pure:
+            for g in genomes:
+                if g.workflow_id not in started:
+                    started[g.workflow_id] = deps._worker_pool().submit(run, g)
+
+    start(parents)
+    try:
+        offspring = _breed(pop, parents, query, deps, evolver, rng)
+        niche = niching_area(pop, offspring, cfg.niche_size, deps.embedder, parents=parents)
+        # Results are consumed in id order on this thread, so stats and the
+        # report keep the serial order whichever way the members ran.
+        members = sorted(niche.exec_members, key=lambda g: g.workflow_id)
+        start(members)
+    finally:
+        wait(started.values())
     if pure:
         results = [run(g) for g in members]
     else:
-        with ThreadPoolExecutor(max_workers=len(members)) as workers:
-            results = list(workers.map(run, members))
+        results = [started[g.workflow_id].result() for g in members]
     evaluations: dict[str, dict] = {}
     updated: dict[str, WorkflowGenome] = {}
     for genome, (perf, cost) in zip(members, results):

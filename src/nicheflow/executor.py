@@ -58,6 +58,7 @@ class _Caller:
                 f"call budget {self.budget} exceeded",
                 partial_cost=self.total_cost,
             )
+        spec = self.pool.get(node.model_id)  # a model outside the pool is never called
         self.count += 1
         req = ChatRequest(
             model_id=node.model_id,
@@ -65,7 +66,7 @@ class _Caller:
             temperature=node.temperature,
         )
         resp: ChatResponse = self.provider.chat(req)
-        self.total_cost += call_cost(resp, self.pool.get(node.model_id))
+        self.total_cost += call_cost(resp, spec)
         return resp.content
 
 

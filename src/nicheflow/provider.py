@@ -97,27 +97,38 @@ class ModelProvider(Protocol):
 @dataclass(frozen=True)
 class Evolver:
     """The model that drives evolution itself: crossover offspring, model
-    picks, prompt rewrites and tags all ask it through ``ask``."""
+    picks, prompt rewrites and tags all ask it through ``ask``.
+
+    It keeps the reply to each prompt it has sent, so each distinct request
+    goes out once for as long as it lives: ``make_evolver`` builds one per
+    step, and one for a whole ``init_population``. On a backend that answers
+    deterministically, as the simulated one does, a resent request would get
+    the same reply, so this only saves calls. On a sampling backend, nodes
+    that a step's model mutation picks with the same current model get the
+    same pick."""
 
     provider: ModelProvider
     model_id: str
+    _replies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def ask(self, prompt: str, parse: Callable[[str], Optional[T]]) -> Optional[T]:
-        """``parse`` of the reply to one request. Returns None when the reply
-        does not parse or the provider fails; callers then fall back to their
-        rule-based route. A request is sent once: a backend that answers
-        deterministically, as the simulated one does, would repeat its reply."""
-        req = ChatRequest(
-            model_id=self.model_id,
-            messages=({"role": "user", "content": prompt},),
-            temperature=1.0,
-        )
-        try:
-            resp = self.provider.chat(req)
-        except ProviderError as e:
-            logger.warning("evolver model %s failed: %s", self.model_id, e)
-            return None
-        return parse(resp.content)
+        """``parse`` of the reply to ``prompt``, sent once as a request and
+        never retried. Returns None when the reply does not parse or the
+        provider fails; callers then fall back to their rule-based route. A
+        failed request is not kept, so the same prompt asked again is sent
+        again."""
+        if prompt not in self._replies:
+            req = ChatRequest(
+                model_id=self.model_id,
+                messages=({"role": "user", "content": prompt},),
+                temperature=1.0,
+            )
+            try:
+                self._replies[prompt] = self.provider.chat(req).content
+            except ProviderError as e:
+                logger.warning("evolver model %s failed: %s", self.model_id, e)
+                return None
+        return parse(self._replies[prompt])
 
 
 def call_cost(resp: ChatResponse, spec: ModelSpec) -> float:

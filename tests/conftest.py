@@ -143,7 +143,8 @@ class InFlightProvider:
     """Thread-safe pass-through to another backend that waits ``delay_s``
     per call, as a hosted model would, and records the peak number of calls
     in flight at once. Not a ``SimulatedProvider``, so ``evolve_step`` runs
-    the niche members through it concurrently."""
+    the niche members through it concurrently. ``first_call`` is set when
+    the first call starts."""
 
     def __init__(self, inner, delay_s=0.0002):
         self.inner = inner
@@ -151,11 +152,18 @@ class InFlightProvider:
         self._lock = threading.Lock()
         self._in_flight = 0
         self.peak = 0
+        self.first_call = threading.Event()
+
+    @property
+    def in_flight(self):
+        with self._lock:
+            return self._in_flight
 
     def chat(self, req):
         with self._lock:
             self._in_flight += 1
             self.peak = max(self.peak, self._in_flight)
+        self.first_call.set()
         try:
             time.sleep(self.delay_s)
             return self.inner.chat(req)

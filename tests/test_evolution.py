@@ -355,28 +355,46 @@ def test_mutate_llm_keeps_each_operator_none_of_whose_nodes_changed(pool):
         assert same == (a.invoking_nodes == b.invoking_nodes)
 
 
-def test_mutate_llm_takes_the_evolvers_pick(pool):
+def _two_model_genome():
+    """Debate and CoT on ``tiny`` around an Ensemble on ``small``."""
     g = build_genome(kinds=("Debate", "Ensemble", "CoT"), model="tiny")
+    middle = g.operators[1]
+    nodes = tuple(dataclasses.replace(n, model_id="small") for n in middle.invoking_nodes)
+    ops = (g.operators[0], dataclasses.replace(middle, invoking_nodes=nodes), g.operators[2])
+    return dataclasses.replace(g, operators=ops)
+
+
+def _nodes(genome):
+    return [n for op in genome.operators for n in op.invoking_nodes]
+
+
+def test_mutate_llm_takes_the_evolvers_pick(pool):
+    g = _two_model_genome()
     provider = ScriptedProvider(["I would use mid"])
-    out = mutate_llm(g, LlmExperiencePool(), pool, np.random.default_rng(3), "easy", rho=0.5,
+    out = mutate_llm(g, LlmExperiencePool(), pool, np.random.default_rng(1), "easy", rho=0.5,
                      evolver=Evolver(provider, "big"))
-    models = [n.model_id for op in out.operators for n in op.invoking_nodes]
-    assert set(models) == {"tiny", "mid"}
-    # one request, never retried, per picked node; every picked node swaps
-    assert len(provider.requests) == models.count("mid")
+    models = [n.model_id for n in _nodes(out)]
+    assert set(models) == {"tiny", "small", "mid"}
+    # every picked node swaps; the evolver is asked once per distinct
+    # current model among them, as the prompt names only that model
+    picked = {a.model_id for a, b in zip(_nodes(g), _nodes(out)) if b.model_id == "mid"}
+    assert picked == {"tiny", "small"}
+    assert len(provider.requests) == len(picked)
     assert {r.model_id for r in provider.requests} == {"big"}
 
 
 def test_mutate_llm_falls_back_when_the_evolver_names_no_pool_model(pool):
-    g = build_genome(kinds=("Debate", "Ensemble", "CoT"), model="tiny")
+    g = _two_model_genome()
     provider = ScriptedProvider(["Understood. Proceeding with the given instructions."])
     with_evolver = mutate_llm(g, LlmExperiencePool(), pool, np.random.default_rng(3), "easy",
                               rho=0.5, evolver=Evolver(provider, "big"))
     without = mutate_llm(g, LlmExperiencePool(), pool, np.random.default_rng(3), "easy", rho=0.5)
     assert serialize(with_evolver) == serialize(without) != serialize(g)
-    # the fallback swaps every picked node, and each was asked about once
-    swapped = [n.model_id != "tiny" for op in without.operators for n in op.invoking_nodes]
-    assert len(provider.requests) == sum(swapped)
+    # the fallback swaps every picked node, and the evolver was asked once
+    # per distinct current model among them
+    picked = {a.model_id for a, b in zip(_nodes(g), _nodes(without)) if a.model_id != b.model_id}
+    assert len(picked) == 2
+    assert len(provider.requests) == len(picked)
 
 
 def test_mutate_prompt_noop_at_rho_zero():

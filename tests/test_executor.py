@@ -30,7 +30,7 @@ from nicheflow.operators import (
 )
 from nicheflow.provider import ChatRequest, ChatResponse, call_cost, make_task_envelope
 
-from conftest import ScriptedProvider, build_genome
+from conftest import RecordingProvider, ScriptedProvider, build_genome
 
 
 QUERY = TaskQuery(query_id="q1", text="What is 6*7?", gold="42", metric="numeric")
@@ -349,6 +349,21 @@ def test_execute_respects_call_budget(pool):
         execute(g, QUERY, provider, pool, call_budget=10)
     assert ei.value.partial_cost > 0.0
     assert len(provider.requests) == 10
+
+
+def test_a_model_outside_the_pool_is_never_called(pool, sim_provider):
+    provider = RecordingProvider(sim_provider)
+    with pytest.raises(InvalidInput, match="unknown model 'nope'"):
+        execute(build_genome(kinds=("CoT",), model="nope"), QUERY, provider, pool, call_budget=64)
+    assert provider.requests == []
+
+
+def test_the_budget_is_checked_before_the_model(pool):
+    provider = RecordingProvider(ScriptedProvider(["p"]))
+    node = build_genome(model="nope").operators[0].invoking_nodes[0]
+    with pytest.raises(BudgetExceeded):
+        _Caller(provider, pool, budget=0).call(node, "x")
+    assert provider.requests == []
 
 
 def test_a_memoised_run_replays_the_fresh_trace(pool, sim_provider):

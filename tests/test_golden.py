@@ -97,11 +97,13 @@ def test_llm_route_run_keeps_its_bytes_with_members_in_flight():
 def test_llm_route_run_asks_the_cheapest_model():
     """The pinned 16-step run, counting its evolver requests (those without a
     task envelope). With ``evolver_model`` unset they all go to ``tiny``, the
-    pool's cheapest model. Each request is sent once: 263 were sent while
-    tagging resent a request whose reply did not parse, up to 3 times, and
-    the 62 resends are gone (30 while tagging the initial population, 32 over
-    the 16 steps). Crossover resent too, but its prompt quotes the query's
-    task envelope, so its requests are not in this count."""
+    pool's cheapest model. Each distinct request is sent once per evolver,
+    and there is one evolver per step: 201 were sent while a step's model
+    mutation asked again for each picked node with the same current model,
+    and a prompt rewrite again for each node with the same prompt, and the
+    52 repeats are gone. Tagging the initial population sends 15, as before.
+    Crossover's prompt quotes the query's task envelope, so its requests
+    are not in this count."""
     seed, steps = 3, 16
     provider = RecordingProvider(SimulatedProvider(SIM_PROFILES, seed=seed))
     pop, deps, tasks = library_setup(
@@ -115,4 +117,4 @@ def test_llm_route_run_asks_the_cheapest_model():
         if parse_task_envelope(r.messages[0]["content"]) is None
     ]
     assert set(evolver_models) == {"tiny"}
-    assert len(evolver_models) == 201
+    assert len(evolver_models) == 149

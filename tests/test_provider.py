@@ -266,12 +266,32 @@ def test_http_provider_recovers_mid_retry():
 # --- evolver -----------------------------------------------------------------
 
 def test_evolver_asks_once():
+    """A prompt is sent once; asked again, its kept reply is parsed anew."""
     provider = ScriptedProvider(["bad", "good"])
     evolver = Evolver(provider, "big")
     assert evolver.ask("p", lambda reply: reply if reply == "good" else None) is None
     assert len(provider.requests) == 1
-    assert evolver.ask("p", lambda reply: reply if reply == "good" else None) == "good"
+    assert evolver.ask("p", lambda reply: reply if reply == "good" else None) is None
+    assert evolver.ask("p", str.upper) == "BAD"
+    assert len(provider.requests) == 1
+    assert evolver.ask("q", lambda reply: reply if reply == "good" else None) == "good"
     assert len(provider.requests) == 2
+
+
+def test_evolver_sends_a_failed_prompt_again():
+    class FailsOnce(ScriptedProvider):
+        def chat(self, req):
+            if not self.requests:
+                self.requests.append(req)
+                raise ProviderError("transient", attempts=3)
+            return super().chat(req)
+
+    provider = FailsOnce(["late"])
+    evolver = Evolver(provider, "big")
+    assert evolver.ask("p", str) is None
+    assert evolver.ask("p", str) == "late"
+    assert evolver.ask("p", str) == "late"
+    assert len(provider.requests) == 2  # the failure, then the one kept
 
 
 def test_evolver_returns_the_first_parsed_reply():
